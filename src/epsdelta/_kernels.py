@@ -1,10 +1,8 @@
-"""Hot pair-scan kernels: numba-compiled fast path with a pure-numpy fallback.
+"""Hot pair-scan kernels and the sawtooth evaluator, vectorized in numpy.
 
-Every kernel here exists twice, as a numba ``@njit`` loop and as a
-vectorized numpy reduction, and the two are bit-identical on the same
-input (the test suite asserts this).  The active backend is chosen once
-at import time: numba when it is importable, numpy otherwise, and the
-environment variable ``EPSDELTA_NO_NUMBA=1`` forces the numpy path.
+Each pair scan walks index offsets d = 1, 2, ... and compares all pairs
+``(i, i + d)`` at once; it stops as soon as the smallest abscissa gap
+at the current offset rules out every later offset.
 
 All scans are serial and deterministic; ties between point pairs are
 broken toward the lexicographically smallest index pair ``(i, j)``.
@@ -16,70 +14,17 @@ sorted-gap early exit useless (never wrong, just slow).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("EPSDELTA_NO_NUMBA", "").strip() not in ("", "0")
 
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled via EPSDELTA_NO_NUMBA")
-    from numba import njit
+def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
+    """Closest pair ``(dist, i, j)`` with ``|fx[j] - fx[i]| >= eps``.
 
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # identity decorator so the _nb names stay importable
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def backend() -> str:
-    """Name of the active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# closest pair subject to a minimum value gap
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _min_dist_pair_nb(x, fx, eps):
-    n = x.size
-    best = np.inf
-    bi = -1
-    bj = -1
-    for d in range(1, n):
-        offset_min = np.inf
-        for i in range(n - d):
-            dx = x[i + d] - x[i]
-            if dx < offset_min:
-                offset_min = dx
-            df = fx[i + d] - fx[i]
-            if df < 0.0:
-                df = -df
-            if df >= eps:
-                j = i + d
-                if dx < best or (dx == best and (i < bi or (i == bi and j < bj))):
-                    best = dx
-                    bi = i
-                    bj = j
-        # offsets only widen: min over offset d+1 >= min over offset d
-        if bi >= 0 and offset_min > best:
-            break
-    return best, bi, bj
-
-
-def _min_dist_pair_np(x, fx, eps):
+    Returns ``(inf, -1, -1)`` when no pair qualifies.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    fx = np.ascontiguousarray(fx, dtype=np.float64)
+    eps = float(eps)
     n = x.size
     best = np.inf
     bi = -1
@@ -97,52 +42,20 @@ def _min_dist_pair_np(x, fx, eps):
                 best = dmin
                 bi = i
                 bj = j
+        # offsets only widen: min over offset d+1 >= min over offset d
         if bi >= 0 and offset_min > best:
             break
-    return best, bi, bj
+    return float(best), bi, bj
 
 
-def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
-    """Closest pair ``(dist, i, j)`` with ``|fx[j] - fx[i]| >= eps``.
+def max_gap_within(x: np.ndarray, fx: np.ndarray, delta: float) -> float:
+    """Largest ``|fx[j] - fx[i]|`` over pairs with ``x[j] - x[i] <= delta``.
 
-    Returns ``(inf, -1, -1)`` when no pair qualifies.
+    Zero when no pair is that close (e.g. ``delta`` below the smallest gap).
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     fx = np.ascontiguousarray(fx, dtype=np.float64)
-    if _HAVE_NUMBA:
-        dist, i, j = _min_dist_pair_nb(x, fx, float(eps))
-    else:
-        dist, i, j = _min_dist_pair_np(x, fx, float(eps))
-    return float(dist), int(i), int(j)
-
-
-# ---------------------------------------------------------------------------
-# largest value gap subject to a maximum distance
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _max_gap_within_nb(x, fx, delta):
-    n = x.size
-    best = 0.0
-    for d in range(1, n):
-        offset_min = np.inf
-        for i in range(n - d):
-            dx = x[i + d] - x[i]
-            if dx < offset_min:
-                offset_min = dx
-            if dx <= delta:
-                df = fx[i + d] - fx[i]
-                if df < 0.0:
-                    df = -df
-                if df > best:
-                    best = df
-        if offset_min > delta:
-            break
-    return best
-
-
-def _max_gap_within_np(x, fx, delta):
+    delta = float(delta)
     n = x.size
     best = 0.0
     for d in range(1, n):
@@ -158,39 +71,14 @@ def _max_gap_within_np(x, fx, delta):
     return best
 
 
-def max_gap_within(x: np.ndarray, fx: np.ndarray, delta: float) -> float:
-    """Largest ``|fx[j] - fx[i]|`` over pairs with ``x[j] - x[i] <= delta``.
-
-    Zero when no pair is that close (e.g. ``delta`` below the smallest gap).
+def find_violation(x: np.ndarray, fx: np.ndarray, eps: float, dist_bound: float):
+    """Lexicographically first ``(i, j)`` with ``x[j]-x[i] < dist_bound``
+    and ``|fx[j]-fx[i]| >= eps``; ``(-1, -1)`` when no such pair exists.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     fx = np.ascontiguousarray(fx, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return float(_max_gap_within_nb(x, fx, float(delta)))
-    return float(_max_gap_within_np(x, fx, float(delta)))
-
-
-# ---------------------------------------------------------------------------
-# first pair violating a claimed tolerance
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _find_violation_nb(x, fx, eps, dist_bound):
-    n = x.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x[j] - x[i] >= dist_bound:
-                break
-            df = fx[j] - fx[i]
-            if df < 0.0:
-                df = -df
-            if df >= eps:
-                return i, j
-    return -1, -1
-
-
-def _find_violation_np(x, fx, eps, dist_bound):
+    eps = float(eps)
+    dist_bound = float(dist_bound)
     n = x.size
     bi = -1
     bj = -1
@@ -208,61 +96,9 @@ def _find_violation_np(x, fx, eps, dist_bound):
     return bi, bj
 
 
-def find_violation(x: np.ndarray, fx: np.ndarray, eps: float, dist_bound: float):
-    """Lexicographically first ``(i, j)`` with ``x[j]-x[i] < dist_bound``
-    and ``|fx[j]-fx[i]| >= eps``; ``(-1, -1)`` when no such pair exists.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    fx = np.ascontiguousarray(fx, dtype=np.float64)
-    if _HAVE_NUMBA:
-        i, j = _find_violation_nb(x, fx, float(eps), float(dist_bound))
-    else:
-        i, j = _find_violation_np(x, fx, float(eps), float(dist_bound))
-    return int(i), int(j)
-
-
-# ---------------------------------------------------------------------------
-# sawtooth evaluation
-# ---------------------------------------------------------------------------
-
-
 # below the smallest normal float 1/v overflows; the true value there
 # is at most 2v < 1e-307, indistinguishable from zero
 _TINY = np.finfo(np.float64).tiny
-
-
-@njit(cache=True)
-def _chainsaw_nb(t):
-    out = np.empty(t.size, dtype=np.float64)
-    for idx in range(t.size):
-        v = t[idx]
-        if v < _TINY:
-            out[idx] = 0.0
-        else:
-            # np.floor keeps n in float64: 1/v overflows int64 for tiny v
-            n = np.floor(1.0 / v)
-            if n < 1.0:
-                n = 1.0
-            # one-step correction for rounding of 1/v at tooth boundaries
-            if v < 1.0 / (n + 1.0):
-                n = n + 1.0
-            elif n > 1.0 and v > 1.0 / n:
-                n = n - 1.0
-            w = (2.0 * n + 1.0) * v - 2.0
-            out[idx] = abs(w)
-    return out
-
-
-def _chainsaw_np(t):
-    out = np.zeros(t.size, dtype=np.float64)
-    pos = t >= _TINY
-    v = t[pos]
-    n = np.floor(1.0 / v)
-    np.maximum(n, 1.0, out=n)
-    n = np.where(v < 1.0 / (n + 1.0), n + 1.0, n)
-    n = np.where((n > 1.0) & (v > 1.0 / n), n - 1.0, n)
-    out[pos] = np.abs((2.0 * n + 1.0) * v - 2.0)
-    return out
 
 
 def chainsaw_values(t: np.ndarray) -> np.ndarray:
@@ -273,6 +109,14 @@ def chainsaw_values(t: np.ndarray) -> np.ndarray:
     and climbs back to ``1/n``.  The origin maps to 0.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _chainsaw_nb(t)
-    return _chainsaw_np(t)
+    out = np.zeros(t.size, dtype=np.float64)
+    pos = t >= _TINY
+    v = t[pos]
+    # np.floor keeps n in float64: 1/v overflows int64 for tiny v
+    n = np.floor(1.0 / v)
+    np.maximum(n, 1.0, out=n)
+    # one-step correction for rounding of 1/v at tooth boundaries
+    n = np.where(v < 1.0 / (n + 1.0), n + 1.0, n)
+    n = np.where((n > 1.0) & (v > 1.0 / n), n - 1.0, n)
+    out[pos] = np.abs((2.0 * n + 1.0) * v - 2.0)
+    return out

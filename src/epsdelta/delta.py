@@ -36,11 +36,11 @@ from .functions import (
     FiniteMetricSpace,
     PowerFamily,
     RealFunction,
-    anchor_points,
     canonical_text,
     evaluate_many,
+    sample_grid,
 )
-from .serialize import csv_text, format_float, json_text
+from .serialize import csv_text, json_text
 
 # Pairs count toward the level set when their gap reaches
 # eps * (1 - GAP_SLACK_REL): the float image of an exact boundary pair
@@ -187,16 +187,6 @@ VALIDITY_MARGIN_REL: float = 1e-9
 MAXIMALITY_MARGIN_REL: float = 1e-3
 
 
-def base_grid_points(f: RealFunction, resolution: int, include_anchors: bool = True) -> np.ndarray:
-    """Sorted unique sample abscissas: uniform grid plus rule anchors."""
-    xs = np.linspace(f.domain.lo, f.domain.hi, int(resolution))
-    if include_anchors:
-        extra = anchor_points(f)
-        if extra.size:
-            xs = np.unique(np.concatenate((xs, extra)))
-    return xs
-
-
 def optimal_delta_grid(
     f: RealFunction, epsilon: float, cfg: GridConfig = GridConfig()
 ) -> DeltaSample:
@@ -211,9 +201,15 @@ def optimal_delta_grid(
     """
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    xs, fx = sample_grid(f, cfg.resolution, cfg.include_anchors)
+    return _grid_search(f, epsilon, xs, fx, cfg)
+
+
+def _grid_search(
+    f: RealFunction, epsilon: float, xs: np.ndarray, fx: np.ndarray, cfg: GridConfig
+) -> DeltaSample:
+    """The grid search of `optimal_delta_grid` on an already sampled base grid."""
     eps_eff = epsilon * (1.0 - cfg.gap_slack_rel)
-    xs = base_grid_points(f, cfg.resolution, cfg.include_anchors)
-    fx = evaluate_many(f, xs)
     spread = float(fx.max() - fx.min())
     if spread < eps_eff:
         raise EmptyLevelSet(
@@ -327,10 +323,7 @@ def modulus_of_continuity(f: RealFunction, delta: float, resolution: int) -> flo
     """
     if delta < 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
-    xs = np.linspace(f.domain.lo, f.domain.hi, int(resolution))
-    fx = evaluate_many(f, xs)
+    xs, fx = sample_grid(f, resolution)
     return _kernels.max_gap_within(xs, fx, float(delta))
 
 
@@ -349,8 +342,8 @@ def build_profile(
         raise ValueError("need at least one epsilon")
     if any(e <= 0.0 for e in eps_list):
         raise ValueError(f"epsilons must be positive, got {eps_list[0]}")
-    lo_val, hi_val = _grid_range(f, cfg)
-    spread = hi_val - lo_val
+    xs, fx = sample_grid(f, cfg.resolution, cfg.include_anchors)
+    spread = float(fx.max()) - float(fx.min())
     if spread == 0.0:
         raise EmptyLevelSet(
             "range spread is 0 on the grid: every epsilon has an empty level set"
@@ -363,18 +356,12 @@ def build_profile(
         except (UnsupportedFamily, OutOfRange):
             pass
         try:
-            samples.append(optimal_delta_grid(f, eps, cfg))
+            samples.append(_grid_search(f, eps, xs, fx, cfg))
         except EmptyLevelSet as exc:
             raise EmptyLevelSet(f"epsilon={eps!r}: {exc}") from exc
     return DeltaProfile(
         function_id=canonical_text(f), M_estimate=float(spread), samples=samples
     )
-
-
-def _grid_range(f: RealFunction, cfg: GridConfig) -> tuple[float, float]:
-    xs = base_grid_points(f, cfg.resolution, cfg.include_anchors)
-    fx = evaluate_many(f, xs)
-    return float(fx.min()), float(fx.max())
 
 
 def verify_largest_delta(
@@ -391,8 +378,7 @@ def verify_largest_delta(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not (delta_claimed > 0.0):
         raise ValueError(f"delta_claimed must be positive, got {delta_claimed}")
-    xs = base_grid_points(f, resolution)
-    fx = evaluate_many(f, xs)
+    xs, fx = sample_grid(f, resolution, include_anchors=True)
     eps_eff = epsilon * (1.0 - GAP_SLACK_REL)
 
     vi, vj = _kernels.find_violation(xs, fx, eps_eff, delta_claimed * (1.0 - VALIDITY_MARGIN_REL))

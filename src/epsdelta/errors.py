@@ -56,4 +56,5 @@ class NotSelfMap(EpsDeltaError):
 
 
 class LevelTooLarge(EpsDeltaError):
-    """A dyadic net level would exceed the supported point budget."""
+    """A dyadic net level or a grid resolution would exceed the supported
+    point budget of 2^MAX_NET_LEVEL + 1 points."""

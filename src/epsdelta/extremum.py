@@ -19,11 +19,15 @@ import numpy as np
 
 from .delta import modulus_of_continuity
 from .errors import LevelTooLarge
-from .functions import Interval, RealFunction, canonical_text, evaluate_many
+from .functions import (
+    MAX_NET_LEVEL,
+    Interval,
+    RealFunction,
+    canonical_text,
+    evaluate_many,
+    sample_grid,
+)
 from .serialize import csv_text, json_text
-
-# 2^24 + 1 points is the largest net we are willing to materialize
-MAX_NET_LEVEL: int = 24
 
 
 @dataclass
@@ -229,10 +233,8 @@ def envelope(f: RealFunction, resolution: int) -> np.ndarray:
     Returned as an (resolution, 2) array of (x, g(x)) rows; g is
     nondecreasing and ends at the grid maximum of f.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
-    xs = np.linspace(f.domain.lo, f.domain.hi, int(resolution))
-    g = np.maximum.accumulate(evaluate_many(f, xs))
+    xs, fx = sample_grid(f, resolution)
+    g = np.maximum.accumulate(fx)
     return np.column_stack((xs, g))
 
 

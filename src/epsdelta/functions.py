@@ -27,13 +27,16 @@ from math import pi as _PI
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, ParseError
+from .errors import DomainError, LevelTooLarge, ParseError
 
 # relative slack for accepting points a hair outside the domain
 DOMAIN_TOL_REL: float = 2.0 ** -40
 
 # how many sawtooth teeth contribute peak/zero anchor points to grids
 CHAINSAW_ANCHOR_TEETH: int = 64
+
+# point budget of every sampled grid: 2^24 + 1 points, the finest dyadic net
+MAX_NET_LEVEL: int = 24
 
 
 @dataclass(frozen=True)
@@ -232,12 +235,33 @@ def evaluate(f: RealFunction, x: float) -> float:
     return float(evaluate_many(f, np.array([float(x)]))[0])
 
 
-def range_bounds(f: RealFunction, resolution: int) -> tuple[float, float]:
-    """(min, max) of f over a uniform grid of `resolution` points."""
+def sample_grid(
+    f: RealFunction, resolution: int, include_anchors: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissas and values ``(xs, fx)`` of f on a sorted sample grid.
+
+    The grid holds ``resolution`` uniform points over the domain, plus
+    the rule's anchor points when ``include_anchors`` is set.  Raises
+    ValueError below 2 points and LevelTooLarge past the point budget
+    of a level-``MAX_NET_LEVEL`` dyadic net, before allocating anything.
+    """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if resolution > 2 ** MAX_NET_LEVEL + 1:
+        raise LevelTooLarge(
+            f"resolution {resolution} exceeds the maximum {2 ** MAX_NET_LEVEL + 1} points"
+        )
     xs = np.linspace(f.domain.lo, f.domain.hi, int(resolution))
-    vals = evaluate_many(f, xs)
+    if include_anchors:
+        extra = anchor_points(f)
+        if extra.size:
+            xs = np.unique(np.concatenate((xs, extra)))
+    return xs, evaluate_many(f, xs)
+
+
+def range_bounds(f: RealFunction, resolution: int) -> tuple[float, float]:
+    """(min, max) of f over a uniform grid of `resolution` points."""
+    _, vals = sample_grid(f, resolution)
     return float(vals.min()), float(vals.max())
 
 
@@ -581,9 +605,12 @@ class FiniteMetricSpace:
             raise ValueError("distances must be nonnegative")
         # slack absorbs rounding when distances come from coordinate differences
         slack = 32.0 * np.finfo(np.float64).eps * max(float(self.dist.max()), 1.0)
-        via = self.dist[:, :, None] + self.dist[None, :, :]  # (i, j, k)
-        if (self.dist[:, None, :] > via + slack).any():
-            raise ValueError("triangle inequality violated")
+        d = self.dist
+        # one middle point j at a time keeps memory at O(n^2):
+        # d[i, k] > d[i, j] + d[j, k] + slack for some (i, k)
+        for j in range(n):
+            if (d > (d[:, j, None] + d[None, j, :]) + slack).any():
+                raise ValueError("triangle inequality violated")
 
     @property
     def size(self) -> int:

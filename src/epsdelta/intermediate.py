@@ -183,9 +183,12 @@ class BisectionTrace:
     """Bracket history of one bisection run.
 
     Step k records the oriented bracket before its halving: f(a_k) is
-    in the target set, f(b_k) is not.  ``error_bound`` is the exact
-    |b_0 - a_0| * 2^-n after n completed halvings; ``boundary_hit`` is
-    set when a midpoint classified as boundary stopped the run early.
+    in the target set, f(b_k) is not.  ``error_bound`` is the width
+    |b - a| of the final bracket, which is |b_0 - a_0| * 2^-n after n
+    completed halvings on a dyadic domain; the run stops early once the
+    midpoint rounds onto an end, where the bracket cannot shrink further.
+    ``boundary_hit`` is set when a midpoint classified as boundary
+    stopped the run early.
     """
 
     steps: list[BisectionStep] = field(default_factory=list)
@@ -236,11 +239,11 @@ def _run_bisection(value_at, a: float, b: float, target: TargetSet, steps: int,
         )
     if not a_in:
         a, b = b, a
-    width0 = abs(b - a)
-    trace = BisectionTrace(final_bracket=(a, b), error_bound=width0)
-    halvings = 0
+    trace = BisectionTrace()
     for k in range(steps):
         mid = a + (b - a) / 2.0
+        if mid == a or mid == b:
+            break
         y = value_at(mid)
         cls = classify(y, target, boundary_tol)
         trace.steps.append(BisectionStep(k, a, b, mid, cls))
@@ -251,9 +254,8 @@ def _run_bisection(value_at, a: float, b: float, target: TargetSet, steps: int,
             a = mid
         else:
             b = mid
-        halvings += 1
     trace.final_bracket = (a, b)
-    trace.error_bound = width0 * 2.0 ** (-halvings)
+    trace.error_bound = abs(b - a)
     return trace
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: dispatch, output formats, exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
+from epsdelta import MAX_NET_LEVEL, functions
 from epsdelta.cli import run
 
 
@@ -175,6 +177,45 @@ class TestExitCodes:
             capsys, "delta", "--fn", "chainsaw", "--eps", "0.5", "--resolution", "1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("resolution", ["1", "0"])
+    def test_verify_delta_without_pairs_is_two(self, capsys, resolution):
+        code, out, err = invoke(
+            capsys, "verify-delta", "--fn", "power(alpha=2,b=1)", "--eps", "0.5",
+            "--delta", "0.9", "--resolution", resolution,
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("delta", "--fn", "chainsaw", "--eps", "0.5"),
+            ("delta-profile", "--fn", "chainsaw", "--eps", "0.5,0.3"),
+            ("modulus", "--fn", "chainsaw", "--delta", "0.1"),
+            ("verify-delta", "--fn", "chainsaw", "--eps", "0.5", "--delta", "0.1"),
+            ("maximize", "--fn", "chainsaw", "--level", "3"),
+            ("envelope", "--fn", "chainsaw"),
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_resolution_past_point_budget_is_one(self, capsys, monkeypatch, argv):
+        def no_grid(f, xs):
+            raise AssertionError(f"evaluated a grid of {len(xs)} points")
+
+        monkeypatch.setattr(functions, "evaluate_many", no_grid)
+        over = str(2 ** MAX_NET_LEVEL + 2)  # one point past the budget: a 134 MB grid
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, *argv, "--resolution", over)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert "exceeds the maximum" in err
+        assert peak < 2 ** 20
 
     def test_domain_flags_rejected_for_fixed_families(self, capsys):
         code, _, err = invoke(

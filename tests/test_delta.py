@@ -1,11 +1,14 @@
 """Optimal tolerance search: closed forms, grid search, oracle agreement."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from epsdelta import functions
 from epsdelta import (
+    MAX_NET_LEVEL,
     BIAS_EXACT,
     BIAS_UPPER_BOUND,
     METHOD_CLOSED_FORM,
@@ -15,6 +18,7 @@ from epsdelta import (
     EmptyLevelSet,
     FiniteMetricSpace,
     GridConfig,
+    LevelTooLarge,
     OutOfRange,
     UnsupportedFamily,
     build_profile,
@@ -27,6 +31,7 @@ from epsdelta import (
     piecewise_linear_function,
     polynomial_function,
     power_function,
+    sample_grid,
     verify_largest_delta,
 )
 
@@ -325,3 +330,47 @@ class TestVerifyLargestDelta:
             verify_largest_delta(IDENTITY, -0.1, 0.1, 100)
         with pytest.raises(ValueError):
             verify_largest_delta(IDENTITY, 0.1, 0.0, 100)
+        # a grid of fewer than 2 points holds no pair to check
+        sq = power_function(2.0, 1.0)
+        for resolution in (1, 0):
+            with pytest.raises(ValueError):
+                verify_largest_delta(sq, 0.5, 0.9, resolution)
+
+
+def _no_evaluation(f, xs):
+    raise AssertionError(f"evaluated a grid of {np.size(xs)} points")
+
+
+class TestSampleGrid:
+    def test_anchors_only_on_request(self):
+        f = chainsaw_function()
+        xs, fx = sample_grid(f, 5)
+        assert xs.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert np.array_equal(fx, functions.evaluate_many(f, xs))
+        xs, _ = sample_grid(f, 5, include_anchors=True)
+        assert xs.size > 5
+        assert 0.4 in xs.tolist()
+        assert (np.diff(xs) > 0).all()
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda r: sample_grid(IDENTITY, r),
+            lambda r: optimal_delta_grid(IDENTITY, 0.5, GridConfig(resolution=r)),
+            lambda r: build_profile(IDENTITY, [0.5], GridConfig(resolution=r)),
+            lambda r: modulus_of_continuity(IDENTITY, 0.1, r),
+            lambda r: verify_largest_delta(IDENTITY, 0.5, 0.5, r),
+        ],
+        ids=["sample_grid", "grid", "profile", "modulus", "verify"],
+    )
+    def test_point_budget_fails_before_allocating(self, monkeypatch, query):
+        monkeypatch.setattr(functions, "evaluate_many", _no_evaluation)
+        over = 2 ** MAX_NET_LEVEL + 2  # one point past the budget: a 134 MB grid
+        tracemalloc.start()
+        try:
+            with pytest.raises(LevelTooLarge, match=str(over - 1)):
+                query(over)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20

@@ -1,9 +1,13 @@
 """Function model: construction, evaluation, parsing, metric spaces."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epsdelta
 from epsdelta import (
     Chainsaw,
     DomainError,
@@ -341,6 +345,37 @@ class TestFiniteMetricSpace:
         with pytest.raises(ValueError):
             FiniteMetricSpace(("a",), np.zeros((2, 2)), np.zeros(2))
 
+    def test_triangle_check_matches_cubic_form(self):
+        # reference: the whole n x n x n comparison at once, same slack
+        def cubic_rejects(d):
+            slack = 32.0 * np.finfo(np.float64).eps * max(float(d.max()), 1.0)
+            via = d[:, :, None] + d[None, :, :]  # (i, j, k)
+            return bool((d[:, None, :] > via + slack).any())
+
+        outcomes = []
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 12))
+            if seed % 3 == 0:
+                # collinear points in 3-d: rounded distances make tight triangles
+                pts = rng.uniform(0, 10, n)[:, None] * rng.normal(size=3)[None, :]
+            else:
+                pts = rng.normal(size=(n, 3)) * rng.uniform(0.1, 100.0)
+            d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+            if seed % 3 != 1:
+                # lengthen one distance by a few ulp up to far past the slack
+                i, k = rng.choice(n, size=2, replace=False)
+                d[i, k] = d[k, i] = d[i, k] * (1.0 + float(rng.choice([1e-15, 1e-14, 1e-13, 0.5])))
+            try:
+                FiniteMetricSpace(tuple(range(n)), d, np.zeros(n))
+                rejected = False
+            except ValueError as exc:
+                assert "triangle" in str(exc)
+                rejected = True
+            assert rejected == cubic_rejects(d), seed
+            outcomes.append(rejected)
+        assert any(outcomes) and not all(outcomes)
+
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=8, unique=True))
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_line_points_always_valid(self, xs):
@@ -357,3 +392,17 @@ def test_chainsaw_values_in_unit_range(x):
     if x > 0:
         n = int(1.0 / x)
         assert v <= 1.0 / max(n, 1) + 1e-12
+
+
+def test_all_lists_every_public_import():
+    # __all__ must name exactly the public names the package imports
+    tree = ast.parse(Path(epsdelta.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert len(epsdelta.__all__) == len(set(epsdelta.__all__))
+    assert set(epsdelta.__all__) == imported

@@ -201,6 +201,24 @@ class TestBisectBoundary:
 
 
 class TestClassicalIvt:
+    @pytest.mark.parametrize(
+        "f, c, steps",
+        [
+            # dyadic domain, past the depth where midpoints round onto an end
+            (polynomial_function([0.0, 0.0, 0.0, 1.0], Interval(0.0, 2.0)), 2.204336367358189, 56),
+            (polynomial_function([0.0, 0.0, 0.0, 1.0], Interval(0.0, 2.0)), 5.0, 60),
+            # non-dyadic domain: midpoints round at any depth
+            (expression_function("cos(x)", 0.1, 0.7), 0.9, 20),
+        ],
+    )
+    def test_error_bound_is_final_bracket_width(self, f, c, steps):
+        trace = classical_ivt(f, c, steps)
+        a, b = trace.final_bracket
+        assert trace.error_bound == abs(b - a)
+        # every recorded midpoint lies strictly inside its bracket
+        for s in trace.steps:
+            assert min(s.a, s.b) < s.midpoint < max(s.a, s.b)
+
     def test_cube_root_of_two(self):
         f = polynomial_function([0.0, 0.0, 0.0, 1.0], Interval(0.0, 2.0))
         trace = classical_ivt(f, 2.0, 20)

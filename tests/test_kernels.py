@@ -1,8 +1,7 @@
-"""Pair-scan kernels: brute-force oracles and backend equivalence.
+"""Pair-scan kernels against brute-force oracles.
 
-The numba and numpy implementations must agree bit for bit, and both
-must match a direct O(n^2) Python scan, including the lexicographic
-tie-break on index pairs.
+Each kernel must match a direct O(n^2) Python scan bit for bit,
+including the lexicographic tie-break on index pairs.
 """
 
 import numpy as np
@@ -52,11 +51,6 @@ def sample_inputs(seed, n, duplicates=False):
     return x, fx
 
 
-BACKENDS = [("numpy", _kernels._min_dist_pair_np)]
-if _kernels.backend() == "numba":
-    BACKENDS.append(("numba", _kernels._min_dist_pair_nb))
-
-
 class TestMinDistPair:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("eps", [0.05, 0.4, 1.2, 1.9])
@@ -65,16 +59,6 @@ class TestMinDistPair:
         want = naive_min_dist_pair(x, fx, eps)
         got = _kernels.min_dist_pair(x, fx, eps)
         assert got == want
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_backends_identical(self, seed):
-        if _kernels.backend() != "numba":
-            pytest.skip("numba backend not active")
-        x, fx = sample_inputs(seed, 300)
-        for eps in (0.01, 0.3, 1.5):
-            assert _kernels._min_dist_pair_nb(x, fx, eps) == _kernels._min_dist_pair_np(
-                x, fx, eps
-            )
 
     def test_no_qualifying_pair(self):
         x = np.array([0.0, 0.5, 1.0])
@@ -119,15 +103,6 @@ class TestMaxGapWithin:
         x, fx = sample_inputs(seed, 80)
         assert _kernels.max_gap_within(x, fx, delta) == naive_max_gap_within(x, fx, delta)
 
-    def test_backends_identical(self):
-        if _kernels.backend() != "numba":
-            pytest.skip("numba backend not active")
-        x, fx = sample_inputs(5, 300)
-        for delta in (0.0, 0.05, 0.5):
-            assert _kernels._max_gap_within_nb(x, fx, delta) == _kernels._max_gap_within_np(
-                x, fx, delta
-            )
-
     def test_delta_below_min_gap_gives_zero(self):
         x = np.linspace(0, 1, 11)
         fx = x ** 2
@@ -148,15 +123,6 @@ class TestFindViolation:
                 x, fx, eps, bound
             )
 
-    def test_backends_identical(self):
-        if _kernels.backend() != "numba":
-            pytest.skip("numba backend not active")
-        x, fx = sample_inputs(7, 300)
-        for eps, bound in [(0.2, 0.05), (0.8, 0.3), (1.99, 2.0)]:
-            assert _kernels._find_violation_nb(x, fx, eps, bound) == _kernels._find_violation_np(
-                x, fx, eps, bound
-            )
-
     def test_returns_first_in_index_order(self):
         x = np.array([0.0, 0.1, 0.2, 0.3])
         fx = np.array([0.0, 1.0, 0.0, 1.0])
@@ -169,22 +135,6 @@ class TestFindViolation:
 
 
 class TestChainsawKernel:
-    def test_backends_identical(self):
-        if _kernels.backend() != "numba":
-            pytest.skip("numba backend not active")
-        rng = np.random.default_rng(0)
-        t = np.concatenate(
-            [
-                rng.uniform(0, 1, 3000),
-                [0.0, 1.0, 0.5, 0.4, 2.0 / 3.0, 1e-300, 1e-19, 1.1754943508222875e-38],
-                1.0 / np.arange(1, 50),
-                2.0 / (2.0 * np.arange(1, 50) + 1.0),
-            ]
-        )
-        nb = _kernels._chainsaw_nb(t)
-        np_ = _kernels._chainsaw_np(t)
-        assert np.array_equal(nb, np_)
-
     def test_piecewise_formula(self):
         # direct check of |(2n+1)t - 2| on each tooth, n from the interval
         rng = np.random.default_rng(1)
@@ -203,7 +153,3 @@ class TestChainsawKernel:
 
     def test_zero_and_negative_clamp(self):
         assert _kernels.chainsaw_values(np.array([0.0, -0.5])).tolist() == [0.0, 0.0]
-
-
-def test_backend_reports_a_known_name():
-    assert _kernels.backend() in ("numba", "numpy")
