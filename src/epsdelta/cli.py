@@ -106,68 +106,47 @@ def _resolve_function(args: argparse.Namespace) -> RealFunction:
     return RealFunction(Interval(lo, hi), f.rule)
 
 
+def _result(args: argparse.Namespace, f: RealFunction):
+    """The result object of a command whose JSON and CSV both come from it."""
+    if args.command == "delta" and args.closed_form:
+        return optimal_delta_closed_form(f, args.eps)
+    if args.command in ("delta-profile", "delta"):
+        cfg = GridConfig(resolution=args.resolution, refine_rounds=args.refine)
+        search = build_profile if args.command == "delta-profile" else optimal_delta_grid
+        return search(f, args.eps, cfg)
+    if args.command == "verify-delta":
+        return verify_largest_delta(f, args.eps, args.delta, args.resolution)
+    if args.command == "bisect":
+        return bisect_boundary(f, parse_target_set(args.target), args.steps)
+    if args.command == "ivt":
+        return classical_ivt(f, args.c, args.steps)
+    if args.command == "fixpoint":
+        return fixed_point(f, args.steps)
+    raise AssertionError(f"unhandled command {args.command!r}")
+
+
 def _dispatch(args: argparse.Namespace) -> str:
     f = _resolve_function(args)
-    out = args.output
-
-    if args.command == "delta-profile":
-        cfg = GridConfig(resolution=args.resolution, refine_rounds=args.refine)
-        profile = build_profile(f, args.eps, cfg)
-        return profile.to_json() if out == "json" else profile.to_csv()
-
-    if args.command == "delta":
-        if args.closed_form:
-            sample = optimal_delta_closed_form(f, args.eps)
-        else:
-            cfg = GridConfig(resolution=args.resolution, refine_rounds=args.refine)
-            sample = optimal_delta_grid(f, args.eps, cfg)
-        if out == "json":
-            return json_text(sample.to_json_dict())
-        return csv_text(
-            ["epsilon", "delta", "method", "bias"],
-            [[sample.epsilon, sample.delta, sample.method, sample.bias]],
-        )
-
     if args.command == "modulus":
-        w = modulus_of_continuity(f, args.delta, args.resolution)
-        if out == "json":
-            return json_text({"delta": args.delta, "modulus": w})
-        return csv_text(["delta", "modulus"], [[args.delta, w]])
-
-    if args.command == "verify-delta":
-        report = verify_largest_delta(f, args.eps, args.delta, args.resolution)
-        return report.to_json() if out == "json" else report.to_csv()
-
-    if args.command == "maximize":
+        columns = ("delta", "modulus")
+        rows = [(args.delta, modulus_of_continuity(f, args.delta, args.resolution))]
+        doc = dict(zip(columns, rows[0]))
+    elif args.command == "envelope":
+        columns, rows = ("x", "g"), envelope(f, args.resolution).tolist()
+        doc = {"points": rows}
+    elif args.command == "maximize":
         trace = refine_extrema(f, args.level)
         bound = certified_max_bound(f, trace, trace.levels[-1], args.resolution)
-        if out == "json":
-            doc = trace.to_json_dict()
-            doc["certified_bound"] = bound
+        # both read the trace after certified_max_bound fills its last certified_gap
+        columns, rows = trace.table()
+        doc = trace.to_json_dict()
+        doc["certified_bound"] = bound
+        if args.output == "json":
             doc["first_maximizer"] = first_maximizer(f, args.resolution)
-            return json_text(doc)
-        return trace.to_csv()
-
-    if args.command == "envelope":
-        pairs = envelope(f, args.resolution)
-        if out == "json":
-            return json_text({"points": [[float(x), float(g)] for x, g in pairs]})
-        return csv_text(["x", "g"], ([float(x), float(g)] for x, g in pairs))
-
-    if args.command == "bisect":
-        target = parse_target_set(args.target)
-        trace = bisect_boundary(f, target, args.steps)
-        return trace.to_json() if out == "json" else trace.to_csv()
-
-    if args.command == "ivt":
-        trace = classical_ivt(f, args.c, args.steps)
-        return trace.to_json() if out == "json" else trace.to_csv()
-
-    if args.command == "fixpoint":
-        result = fixed_point(f, args.steps)
-        return result.to_json() if out == "json" else result.to_csv()
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    else:
+        result = _result(args, f)
+        doc, (columns, rows) = result.to_json_dict(), result.table()
+    return json_text(doc) if args.output == "json" else csv_text(columns, rows)
 
 
 def run(argv: list[str]) -> int:
@@ -179,13 +158,8 @@ def run(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         text = _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ParseError, argparse.ArgumentTypeError, ValueError) as exc:
+        # ahead of EpsDeltaError: a ParseError is one, and it is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EpsDeltaError as exc:

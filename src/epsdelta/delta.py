@@ -40,7 +40,6 @@ from .functions import (
     evaluate_many,
     sample_grid,
 )
-from .serialize import csv_text, json_text
 
 # Pairs count toward the level set when their gap reaches
 # eps * (1 - GAP_SLACK_REL): the float image of an exact boundary pair
@@ -55,6 +54,9 @@ METHOD_EXHAUSTIVE = "exhaustive"
 
 BIAS_EXACT = "exact"
 BIAS_UPPER_BOUND = "upper_bound"
+
+# each grid refinement round shrinks the windows around the best pair by this factor
+ZOOM_FACTOR: float = 16.0
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,9 @@ class DeltaSample:
     method: str
     bias: str
 
+    # the CSV header and the JSON keys, in the order of row()
+    COLUMNS = ("epsilon", "delta", "method", "bias")
+
     def __post_init__(self) -> None:
         if self.method not in (METHOD_CLOSED_FORM, METHOD_GRID, METHOD_EXHAUSTIVE):
             raise ValueError(f"unknown method {self.method!r}")
@@ -85,13 +90,14 @@ class DeltaSample:
         if not (self.delta > 0.0):
             raise ValueError(f"delta must be positive, got {self.delta}")
 
+    def row(self) -> tuple:
+        return (self.epsilon, self.delta, self.method, self.bias)
+
+    def table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        return self.COLUMNS, [self.row()]
+
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "method": self.method,
-            "bias": self.bias,
-        }
+        return dict(zip(self.COLUMNS, self.row()))
 
 
 @dataclass(frozen=True)
@@ -101,14 +107,13 @@ class GridConfig:
     The base pass scans a uniform grid of ``resolution`` points (plus
     the rule's anchor points unless ``include_anchors`` is off); each
     refinement round re-samples windows around the best pair so far,
-    shrunk by ``zoom_factor`` per round.  ``gap_slack_rel`` overrides
+    shrunk by ``ZOOM_FACTOR`` per round.  ``gap_slack_rel`` overrides
     the boundary-pair admission slack; set it to 0.0 for strict
     level-set semantics.
     """
 
     resolution: int = 4096
     refine_rounds: int = 2
-    zoom_factor: float = 16.0
     include_anchors: bool = True
     gap_slack_rel: float = GAP_SLACK_REL
 
@@ -117,8 +122,6 @@ class GridConfig:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
         if self.refine_rounds < 0:
             raise ValueError(f"refine_rounds must be nonnegative, got {self.refine_rounds}")
-        if not (self.zoom_factor >= 2.0):
-            raise ValueError(f"zoom_factor must be at least 2, got {self.zoom_factor}")
         if not (0.0 <= self.gap_slack_rel < 1.0):
             raise ValueError(f"gap_slack_rel must be in [0, 1), got {self.gap_slack_rel}")
 
@@ -131,19 +134,15 @@ class DeltaProfile:
     M_estimate: float
     samples: list[DeltaSample] = field(default_factory=list)
 
+    def table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        return DeltaSample.COLUMNS, [s.row() for s in self.samples]
+
     def to_json_dict(self) -> dict:
         return {
             "function_id": self.function_id,
             "M_estimate": self.M_estimate,
             "samples": [s.to_json_dict() for s in self.samples],
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        rows = [[s.epsilon, s.delta, s.method, s.bias] for s in self.samples]
-        return csv_text(["epsilon", "delta", "method", "bias"], rows)
 
 
 @dataclass
@@ -162,22 +161,17 @@ class VerificationReport:
     violation: tuple[float, float, float, float] | None = None
     threshold_witness: tuple[float, float, float, float] | None = None
 
+    def table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        row = (self.epsilon, self.delta_claimed, self.valid, self.maximal)
+        return ("epsilon", "delta_claimed", "valid", "maximal"), [row]
+
     def to_json_dict(self) -> dict:
+        columns, (row,) = self.table()
         return {
-            "epsilon": self.epsilon,
-            "delta_claimed": self.delta_claimed,
-            "valid": self.valid,
-            "maximal": self.maximal,
+            **dict(zip(columns, row)),
             "violation": list(self.violation) if self.violation else None,
             "threshold_witness": list(self.threshold_witness) if self.threshold_witness else None,
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        row = [self.epsilon, self.delta_claimed, self.valid, self.maximal]
-        return csv_text(["epsilon", "delta_claimed", "valid", "maximal"], [row])
 
 
 # a violation needs to clear the claim by more than float noise
@@ -222,7 +216,7 @@ def _grid_search(
     lo, hi = f.domain.lo, f.domain.hi
     width = f.domain.span
     for r in range(1, cfg.refine_rounds + 1):
-        half = width / cfg.zoom_factor ** r
+        half = width / ZOOM_FACTOR ** r
         windows = []
         for center in (bx, by):
             windows.append(
@@ -317,9 +311,10 @@ def optimal_delta_finite(space: FiniteMetricSpace, epsilon: float) -> DeltaSampl
 def modulus_of_continuity(f: RealFunction, delta: float, resolution: int) -> float:
     """Largest grid value gap over pairs at most delta apart.
 
-    A lower bound for the true modulus w(delta); exact for piecewise
-    linear functions when the grid contains all breakpoints.  delta = 0
-    gives 0 (the grid has no repeated abscissas).
+    A lower bound for the true modulus w(delta).  The grid is uniform
+    and holds no anchor points, not even piecewise-linear breakpoints,
+    so the value is exact only when an extreme pair lies on the grid.
+    delta = 0 gives 0 (the grid has no repeated abscissas).
     """
     if delta < 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta}")

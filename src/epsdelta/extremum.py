@@ -27,7 +27,6 @@ from .functions import (
     evaluate_many,
     sample_grid,
 )
-from .serialize import csv_text, json_text
 
 
 @dataclass
@@ -87,42 +86,18 @@ class RefinementTrace:
         except ValueError:
             raise ValueError(f"level {level} was not recorded in this trace") from None
 
+    def table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        columns = ("level", "mesh", "M_n", "m_n", "argmax", "argmin", "certified_gap")
+        rows = list(zip(self.levels, self.mesh, self.max_values, self.min_values,
+                        self.argmax, self.argmin, self.certified_gap))
+        return columns, rows
+
     def to_json_dict(self) -> dict:
+        columns, rows = self.table()
         return {
             "function_id": self.function_id,
-            "levels": [
-                {
-                    "level": self.levels[i],
-                    "mesh": self.mesh[i],
-                    "M_n": self.max_values[i],
-                    "m_n": self.min_values[i],
-                    "argmax": self.argmax[i],
-                    "argmin": self.argmin[i],
-                    "certified_gap": self.certified_gap[i],
-                }
-                for i in range(len(self.levels))
-            ],
+            "levels": [dict(zip(columns, row)) for row in rows],
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        rows = [
-            [
-                self.levels[i],
-                self.mesh[i],
-                self.max_values[i],
-                self.min_values[i],
-                self.argmax[i],
-                self.argmin[i],
-                self.certified_gap[i],
-            ]
-            for i in range(len(self.levels))
-        ]
-        return csv_text(
-            ["level", "mesh", "M_n", "m_n", "argmax", "argmin", "certified_gap"], rows
-        )
 
 
 def refine_extrema(f: RealFunction, max_level: int, stall_tol: float = 0.0) -> RefinementTrace:
@@ -211,14 +186,16 @@ def certified_max_bound(
     f: RealFunction, trace: RefinementTrace, level: int,
     modulus_resolution: int = 2 ** 12 + 1,
 ) -> float:
-    """Certified upper bound M_n + w(mesh_n) for sup f.
+    """The bound M_n + w(mesh_n) for sup f.
 
     ``level`` must have been recorded in the trace.  The modulus is the
-    grid estimate from :func:`modulus_of_continuity`; the bound is
-    rigorous whenever that estimate really dominates the modulus.  The
-    trace's ``certified_gap`` slot is filled with the bound minus M_n.
-    The default resolution is 2^12 + 1 so the modulus grid contains
-    every dyadic mesh width as an exact point spacing.
+    grid estimate from :func:`modulus_of_continuity`, a lower bound of
+    the true modulus, so the bound is not rigorous: it holds only where
+    that estimate dominates how far f moves within one mesh cell.  Once
+    the mesh is finer than the modulus grid's step, w is 0 and the bound
+    is M_n itself.  The trace's ``certified_gap`` slot is filled with the
+    bound minus M_n.  The default resolution is 2^12 + 1 so the modulus
+    grid contains every dyadic mesh width as an exact point spacing.
     """
     i = trace.index_of_level(level)
     w = modulus_of_continuity(f, trace.mesh[i], modulus_resolution)

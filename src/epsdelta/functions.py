@@ -184,11 +184,9 @@ def _eval_node(node: tuple, x: np.ndarray) -> np.ndarray:
     if op == "mul":
         return a * b
     if op == "div":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return a / b
+        return a / b
     if op == "pow":
-        with np.errstate(invalid="ignore"):
-            return a ** b
+        return a ** b
     raise ValueError(f"unknown expression node {op!r}")
 
 
@@ -197,7 +195,8 @@ def evaluate_many(f: RealFunction, xs) -> np.ndarray:
 
     Points may stick out of the domain by at most a 2^-40 relative slack
     (they are clamped); anything further raises DomainError, as does a
-    non-finite expression value (division blow-up and friends).
+    non-finite value of any family (overflow, division blow-up and
+    friends).
     """
     xs = np.asarray(xs, dtype=np.float64)
     lo, hi = f.domain.lo, f.domain.hi
@@ -209,26 +208,29 @@ def evaluate_many(f: RealFunction, xs) -> np.ndarray:
     xc = np.clip(xs, lo, hi)
 
     rule = f.rule
-    if isinstance(rule, PowerFamily):
-        return xc ** rule.alpha
-    if isinstance(rule, Chainsaw):
-        return _kernels.chainsaw_values(xc)
-    if isinstance(rule, Polynomial):
-        return np.polynomial.polynomial.polyval(xc, np.asarray(rule.coefficients))
-    if isinstance(rule, PiecewiseLinear):
-        px = np.array([p[0] for p in rule.points])
-        py = np.array([p[1] for p in rule.points])
-        return np.interp(xc, px, py)
-    if isinstance(rule, Expression):
-        vals = np.asarray(_eval_node(rule.tree, xc), dtype=np.float64)
-        if vals.shape != xc.shape:
-            vals = np.broadcast_to(vals, xc.shape).copy()
-        finite = np.isfinite(vals)
-        if not finite.all():
-            offender = float(xc[np.argmax(~finite)])
-            raise DomainError(f"expression is non-finite at x={offender!r}")
-        return vals
-    raise TypeError(f"unknown rule type {type(rule).__name__}")
+    # floating-point errors surface as non-finite values, rejected below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if isinstance(rule, PowerFamily):
+            vals = xc ** rule.alpha
+        elif isinstance(rule, Chainsaw):
+            vals = _kernels.chainsaw_values(xc)
+        elif isinstance(rule, Polynomial):
+            vals = np.polynomial.polynomial.polyval(xc, np.asarray(rule.coefficients))
+        elif isinstance(rule, PiecewiseLinear):
+            px = np.array([p[0] for p in rule.points])
+            py = np.array([p[1] for p in rule.points])
+            vals = np.interp(xc, px, py)
+        elif isinstance(rule, Expression):
+            vals = np.asarray(_eval_node(rule.tree, xc), dtype=np.float64)
+            if vals.shape != xc.shape:
+                vals = np.broadcast_to(vals, xc.shape).copy()
+        else:
+            raise TypeError(f"unknown rule type {type(rule).__name__}")
+    finite = np.isfinite(vals)
+    if not finite.all():
+        offender = float(xc[np.argmax(~finite)])
+        raise DomainError(f"f is non-finite at x={offender!r}")
+    return vals
 
 
 def evaluate(f: RealFunction, x: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NotSelfMap, ParseError, PreconditionViolated
 from .extremum import dyadic_net
 from .functions import RealFunction, evaluate, evaluate_many
-from .serialize import csv_text, format_float, json_text
+from .serialize import format_float
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -201,30 +201,19 @@ class BisectionTrace:
         a, b = self.final_bracket
         return a + (b - a) / 2.0
 
+    def table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        rows = [(s.k, s.a, s.b, s.midpoint, s.midpoint_class) for s in self.steps]
+        return ("k", "a_k", "b_k", "midpoint", "class"), rows
+
     def to_json_dict(self) -> dict:
+        columns, rows = self.table()
         return {
-            "steps": [
-                {
-                    "k": s.k,
-                    "a_k": s.a,
-                    "b_k": s.b,
-                    "midpoint": s.midpoint,
-                    "class": s.midpoint_class,
-                }
-                for s in self.steps
-            ],
+            "steps": [dict(zip(columns, row)) for row in rows],
             "final_bracket": list(self.final_bracket),
             "final_midpoint": self.final_midpoint,
             "error_bound": self.error_bound,
             "boundary_hit": self.boundary_hit,
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        rows = [[s.k, s.a, s.b, s.midpoint, s.midpoint_class] for s in self.steps]
-        return csv_text(["k", "a_k", "b_k", "midpoint", "class"], rows)
 
 
 def _run_bisection(value_at, a: float, b: float, target: TargetSet, steps: int,
@@ -317,20 +306,17 @@ class FixedPointResult:
             return self.trace.boundary_hit
         return self.trace.final_midpoint
 
+    def table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        if self.trace is not None:
+            return self.trace.table()
+        return ("endpoint",), [(self.endpoint,)]
+
     def to_json_dict(self) -> dict:
         return {
             "endpoint": self.endpoint,
             "estimate": self.estimate,
             "trace": self.trace.to_json_dict() if self.trace is not None else None,
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        if self.trace is not None:
-            return self.trace.to_csv()
-        return csv_text(["endpoint"], [[self.endpoint]])
 
 
 def fixed_point(f: RealFunction, steps: int, endpoint_tol: float = 0.0) -> FixedPointResult:

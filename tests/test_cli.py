@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, output formats, exit codes."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -44,6 +45,47 @@ class TestDispatch:
         assert out.endswith("\n")
         header = out.split("\n", 1)[0]
         assert "," in header
+
+
+# sha256 of stdout per GOOD_COMMANDS entry, (json, csv).  The output is a
+# format other programs parse: a digest changes only with a deliberate change
+# of the output, never with a refactor.
+GOLDEN_SHA256 = [
+    ("fee4bcb7c8db219db139846a76e86ae7ee62cfddb9d2a35da3b1a8f7a5b69a61",
+     "eb72341ba235da2d19d03ce9b83aad70a348fdaf2d9b97d89a9a4ab4cfea9d96"),
+    ("42ef3a32de2a2e32935db5d4277f0e041eacbdd570a0be4edd751a6fc3454a8b",
+     "1b9759169fb69e6ccecf20d87614a26c3ad21f8e4ff12a2fa87346b468cf433c"),
+    ("344a0c08a76b90cb0d136275bddb432c0cdd1fa5ac76b442dd361eb7e278d0f4",
+     "8cc383ab6c8edd563b4e1a5c2e59b7a86d2ea6ba40ce0cc7d4b38b0dbd6db3a7"),
+    ("e046b95da351b7e05ea913e41d79efe13cbabc9079f44135b6d4aa17167b324c",
+     "666a4b8bd6d68e6dc00c63837f8fbeb79b59af1af019e1b46d3cc077bcf31e31"),
+    ("74c8cf20f99673df55bfd19b92dd3bc19123069743d7f4d22973efdbdb5c8c84",
+     "e86f7e403ef5e2388dbb3e4293d842d2e63237ffcc7575790350afd168f37695"),
+    ("0724d17f1a531c745a3755e8b6ccd8baeab55a70a9e1fb7a93d312464ee7226c",
+     "3959974f86ee0a439744c3d770e91e94e183213907e977869a5210d4571e79af"),
+    ("cb8d39734a59604fd7bc1515ac56545f8d9b5d0b047a69d780916e9b0399c29c",
+     "c326b5c580ef5e0ff65897b30e68e0f6276322d9154fbbcde4ebf8c0126060c0"),
+    ("8a5a57a8d183d87cd783c09868284518eb5f37406ee9794baddceee6401c4a6a",
+     "a5a8d54e8338e9a21484e5145abbe8efd6d480d4494462c9627841d48067789d"),
+    ("48daf74e46416037645e48830b92aea884672b4687dbe77b0d8d20697e4e58d1",
+     "d916aee04884485f7a4b1d0a5193a528641b9e11f6b6dd07ea17b8501f3789dd"),
+    ("3ac60ba87a3155fae660d0f3971cb5f4e75fdef9bf95e664f9e64b81ffe08d62",
+     "10cbe84a4fb8f3c4bcd29eec331eabe4d75c81690133c3127e8718b9bf0cdc1c"),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv, digests",
+        list(zip(GOOD_COMMANDS, GOLDEN_SHA256)),
+        ids=[f"{i}-{argv[0]}" for i, argv in enumerate(GOOD_COMMANDS)],
+    )
+    def test_stdout_matches_recorded_digest(self, capsys, argv, digests, output):
+        code, out, err = invoke(capsys, *argv, "--output", output)
+        assert code == 0, err
+        digest = digests[0] if output == "json" else digests[1]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:
@@ -110,6 +152,7 @@ class TestOutputFormats:
         doc = json.loads(out)
         assert doc["certified_bound"] == 1.125
         assert doc["first_maximizer"] == 1.0
+        assert doc["levels"][-1]["certified_gap"] == 0.125
         assert len(doc["levels"]) == 4
 
     def test_envelope_csv(self, capsys):
@@ -230,6 +273,17 @@ class TestExitCodes:
             "--steps", "3",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "spec", ["poly(1e308,1e308)", "pwl((0,0),(1,1e400))", "power(alpha=400,b=10)"]
+    )
+    def test_non_finite_values_are_one(self, capsys, spec):
+        code, out, err = invoke(
+            capsys, "modulus", "--fn", spec, "--delta", "0.1", "--resolution", "64"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: f is non-finite at x=")
 
     def test_success_is_zero(self, capsys):
         code, _, _ = invoke(capsys, "delta", "--fn", "chainsaw", "--eps", "0.5")

@@ -20,6 +20,7 @@ from epsdelta import (
     range_bounds,
     refine_extrema,
 )
+from epsdelta.serialize import csv_text, json_text
 
 PARABOLA = polynomial_function([0.0, 1.0, -1.0])  # x(1-x)
 IDENTITY = piecewise_linear_function([(0.0, 0.0), (1.0, 1.0)])
@@ -114,7 +115,7 @@ class TestRefineExtrema:
 
     def test_csv_format(self):
         trace = refine_extrema(PARABOLA, 2)
-        lines = trace.to_csv().strip().split("\n")
+        lines = csv_text(*trace.table()).strip().split("\n")
         assert lines[0] == "level,mesh,M_n,m_n,argmax,argmin,certified_gap"
         assert len(lines) == 4
         assert lines[1].endswith(",")  # certified_gap empty until computed
@@ -151,7 +152,7 @@ class TestCertifiedMaxBound:
     def test_json_carries_gap(self):
         trace = refine_extrema(IDENTITY, 3)
         certified_max_bound(IDENTITY, trace, 3, 2 ** 12 + 1)
-        doc = json.loads(trace.to_json())
+        doc = json.loads(json_text(trace.to_json_dict()))
         assert doc["levels"][3]["certified_gap"] == 0.125
         assert doc["levels"][0]["certified_gap"] is None
 

@@ -263,6 +263,16 @@ class TestEvaluateMany:
         with pytest.raises(DomainError, match="1.5"):
             evaluate_many(f, [0.5, 1.5])
 
+    # overflow in polyval, an infinite breakpoint value, overflow in x**alpha
+    @pytest.mark.parametrize(
+        "spec", ["poly(1e308,1e308)", "pwl((0,0),(1,1e400))", "power(alpha=400,b=10)"]
+    )
+    def test_rejects_non_finite_values(self, spec):
+        # pytest turns warnings into errors, so a numpy RuntimeWarning fails this too
+        f = parse_function(spec)
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate_many(f, np.linspace(f.domain.lo, f.domain.hi, 64))
+
 
 class TestRangeBounds:
     def test_identity(self):

@@ -25,6 +25,7 @@ from epsdelta import (
     piecewise_linear_function,
     polynomial_function,
 )
+from epsdelta.serialize import csv_text, json_text
 
 
 class TestTargetSet:
@@ -192,10 +193,10 @@ class TestBisectBoundary:
     def test_csv_and_json(self):
         f = piecewise_linear_function([(0.0, -1.0), (1.0, 2.0)])  # crosses at 1/3
         trace = bisect_boundary(f, parse_target_set("(-inf,0)"), 3)
-        lines = trace.to_csv().strip().split("\n")
+        lines = csv_text(*trace.table()).strip().split("\n")
         assert lines[0] == "k,a_k,b_k,midpoint,class"
         assert len(lines) == 4
-        doc = json.loads(trace.to_json())
+        doc = json.loads(json_text(trace.to_json_dict()))
         assert doc["error_bound"] == 2.0 ** -3
         assert doc["steps"][0]["class"] in (INTERIOR, BOUNDARY, EXTERIOR)
 
@@ -300,13 +301,14 @@ class TestFixedPoint:
     def test_json_and_csv(self):
         f = expression_function("cos(x)", 0.0, 1.0)
         result = fixed_point(f, 6)
-        doc = json.loads(result.to_json())
+        doc = json.loads(json_text(result.to_json_dict()))
         assert doc["endpoint"] is None
         assert len(doc["trace"]["steps"]) == 6
-        endpoint_doc = json.loads(fixed_point(polynomial_function([0.0, 0.0, 1.0]), 5).to_json())
+        endpoint = fixed_point(polynomial_function([0.0, 0.0, 1.0]), 5)
+        endpoint_doc = json.loads(json_text(endpoint.to_json_dict()))
         assert endpoint_doc["endpoint"] == 0.0
         assert endpoint_doc["trace"] is None
-        lines = result.to_csv().strip().split("\n")
+        lines = csv_text(*result.table()).strip().split("\n")
         assert lines[0] == "k,a_k,b_k,midpoint,class"
 
 
