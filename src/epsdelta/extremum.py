@@ -9,6 +9,10 @@ of continuity estimate w gives a certified upper bound
     sup f  <=  M_n + w(mesh_n),
 
 valid whenever w really bounds how much f moves across one mesh cell.
+
+Refinement evaluates each level's new points in cache-sized chunks and
+folds each chunk into the running extremes, so its memory does not grow
+with the level.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ from .functions import (
     evaluate_many,
     sample_grid,
 )
+
+# points per evaluation chunk in refine_extrema: 256 KB of float64 each
+# for the points, the values and every evaluation temporary, within L2
+_CHUNK = 2 ** 15
 
 
 @dataclass
@@ -104,9 +112,12 @@ def refine_extrema(f: RealFunction, max_level: int, stall_tol: float = 0.0) -> R
     """Track grid extrema over nested dyadic nets up to ``max_level``.
 
     Each level evaluates only the new midpoints, so the whole run costs
-    one evaluation per point of the finest net.  With ``stall_tol > 0``
-    the run stops early once both extrema moved less than the tolerance
-    over two consecutive levels.
+    one evaluation per point of the finest net.  The midpoints stream
+    through one reused buffer in chunks of ``_CHUNK`` points, so memory
+    stays the same at every level and the evaluation's temporaries stay
+    in cache; the trace is the one a whole-level pass gives.  With
+    ``stall_tol > 0`` the run stops early once both extrema moved less
+    than the tolerance over two consecutive levels.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be nonnegative, got {max_level}")
@@ -133,23 +144,32 @@ def refine_extrema(f: RealFunction, max_level: int, stall_tol: float = 0.0) -> R
         cur_min, min_k, min_x = float(v0[1]), 1, float(net0.points[1])
     _record(trace, 0, span, cur_max, cur_min, max_x, min_x)
 
+    # odd net indices 1, 3, 5, ... of one chunk, and the buffer its points go to
+    odd = np.arange(1, 2 * min(_CHUNK, 2 ** max_level // 2), 2, dtype=np.float64)
+    buf = np.empty_like(odd)
     for n in range(1, max_level + 1):
-        # new points of level n are the odd multiples of 2^-n
-        j = np.arange(2 ** (n - 1), dtype=np.float64)
-        t = (2.0 * j + 1.0) / 2.0 ** n
-        pts = lo + span * t
-        vals = evaluate_many(f, pts)
-
         max_k *= 2
         min_k *= 2
-        i = int(np.argmax(vals))
-        k_new = 2 * i + 1
-        if vals[i] > cur_max or (vals[i] == cur_max and k_new < max_k):
-            cur_max, max_k, max_x = float(vals[i]), k_new, float(pts[i])
-        i = int(np.argmin(vals))
-        k_new = 2 * i + 1
-        if vals[i] < cur_min or (vals[i] == cur_min and k_new < min_k):
-            cur_min, min_k, min_x = float(vals[i]), k_new, float(pts[i])
+        # new points of level n are the odd multiples of 2^-n, k = 2j + 1
+        count = 2 ** (n - 1)
+        for start in range(0, count, _CHUNK):
+            pts = buf[: min(count - start, _CHUNK)]
+            # in place, the same roundings as lo + span * ((2j + 1) / 2^n)
+            np.add(odd[: pts.size], 2.0 * start, out=pts)
+            pts /= 2.0 ** n
+            pts *= span
+            pts += lo
+            vals = evaluate_many(f, pts)
+
+            # folding chunks left to right keeps the smallest-index tie rule
+            i = int(np.argmax(vals))
+            k_new = 2 * (start + i) + 1
+            if vals[i] > cur_max or (vals[i] == cur_max and k_new < max_k):
+                cur_max, max_k, max_x = float(vals[i]), k_new, float(pts[i])
+            i = int(np.argmin(vals))
+            k_new = 2 * (start + i) + 1
+            if vals[i] < cur_min or (vals[i] == cur_min and k_new < min_k):
+                cur_min, min_k, min_x = float(vals[i]), k_new, float(pts[i])
 
         _record(trace, n, span / 2.0 ** n, cur_max, cur_min, max_x, min_x)
 
@@ -223,7 +243,6 @@ def first_maximizer(f: RealFunction, resolution: int, value_tol: float = 0.0) ->
     """
     if value_tol < 0.0:
         raise ValueError(f"value_tol must be nonnegative, got {value_tol}")
-    pairs = envelope(f, resolution)
-    g = pairs[:, 1]
-    idx = int(np.argmax(g >= g[-1] - value_tol))
-    return float(pairs[idx, 0])
+    xs, fx = sample_grid(f, resolution)
+    # the running maximum first reaches the threshold where fx does
+    return float(xs[np.argmax(fx >= fx.max() - value_tol)])

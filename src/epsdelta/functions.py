@@ -201,11 +201,15 @@ def evaluate_many(f: RealFunction, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     lo, hi = f.domain.lo, f.domain.hi
     tol = DOMAIN_TOL_REL * f.domain.span
-    bad = ~np.isfinite(xs) | (xs < lo - tol) | (xs > hi + tol)
-    if bad.any():
+    # two reductions check the domain (a NaN propagates into both); masks
+    # are built only to name the offender
+    x_min, x_max = xs.min(initial=np.inf), xs.max(initial=-np.inf)
+    if not (x_min >= lo - tol and x_max <= hi + tol):
+        bad = ~np.isfinite(xs) | (xs < lo - tol) | (xs > hi + tol)
         offender = float(xs[np.argmax(bad)])
         raise DomainError(f"x={offender!r} outside domain [{lo!r}, {hi!r}]")
-    xc = np.clip(xs, lo, hi)
+    # clamping is the identity (-0.0 included) when every point is inside
+    xc = xs if lo <= x_min and x_max <= hi else np.clip(xs, lo, hi)
 
     rule = f.rule
     # floating-point errors surface as non-finite values, rejected below
@@ -222,13 +226,13 @@ def evaluate_many(f: RealFunction, xs) -> np.ndarray:
             vals = np.interp(xc, px, py)
         elif isinstance(rule, Expression):
             vals = np.asarray(_eval_node(rule.tree, xc), dtype=np.float64)
-            if vals.shape != xc.shape:
+            # a bare ``x`` returns its argument: never hand back the caller's array
+            if vals.shape != xc.shape or vals is xs:
                 vals = np.broadcast_to(vals, xc.shape).copy()
         else:
             raise TypeError(f"unknown rule type {type(rule).__name__}")
-    finite = np.isfinite(vals)
-    if not finite.all():
-        offender = float(xc[np.argmax(~finite)])
+    if vals.size and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
+        offender = float(xc[np.argmax(~np.isfinite(vals))])
         raise DomainError(f"f is non-finite at x={offender!r}")
     return vals
 

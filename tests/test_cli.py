@@ -88,6 +88,38 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# maximize at level 18 refines its last levels in several evaluation chunks.
+# The pwl's two equal peaks first appear at level 18, in different chunks.
+# Digests are (json, csv).
+DEEP_MAXIMIZE_SHA256 = [
+    ("pwl((0,0),(0.25,0),(0.250003814697265625,1),(0.25000762939453125,0),"
+     "(0.75,0),(0.750003814697265625,1),(0.75000762939453125,0),(1,0))",
+     "8c70e3c299d2b41a45710944aa90db3c1ee913c961ddca810d0aa7b893c090e3",
+     "48963f30d12b83c6b6071f8a517dd145b3b0fd3b0c5a8be37790ced5ff9ee3fd"),
+    ("poly(0,1,-1)",
+     "72abde6d67e58618f3a6267947ae46d845253d1bab7d947a3da50e74c74cb4ce",
+     "00aa4b2a7ed048b1d3f44c090978dea8cd937059cce4ac319c74bfd6a3a2649c"),
+    ("expr(cos(40*x),lo=0,hi=1)",
+     "006a1120536f0160d46fe5f8a958995c1e1d161ebda3c03a1ec867ff057151e6",
+     "db7277d1924aa81f808618a13dc8fada517ae444be532b52f074fc80d1de413c"),
+]
+
+
+class TestGoldenDeepMaximize:
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "fn, json_digest, csv_digest", DEEP_MAXIMIZE_SHA256, ids=["pwl-ties", "poly", "expr"]
+    )
+    def test_stdout_matches_recorded_digest(self, capsys, fn, json_digest, csv_digest, output):
+        code, out, err = invoke(
+            capsys, "maximize", "--fn", fn, "--level", "18", "--resolution", "4096",
+            "--output", output,
+        )
+        assert code == 0, err
+        digest = json_digest if output == "json" else csv_digest
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

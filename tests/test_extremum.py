@@ -1,6 +1,7 @@
 """Dyadic nets, extremum refinement, certified bounds, envelopes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ import pytest
 from epsdelta import (
     Interval,
     LevelTooLarge,
+    RefinementTrace,
+    canonical_text,
     certified_max_bound,
     chainsaw_function,
     dyadic_net,
     envelope,
     evaluate,
+    evaluate_many,
     first_maximizer,
     parse_function,
     piecewise_linear_function,
@@ -20,6 +24,7 @@ from epsdelta import (
     range_bounds,
     refine_extrema,
 )
+from epsdelta import extremum
 from epsdelta.serialize import csv_text, json_text
 
 PARABOLA = polynomial_function([0.0, 1.0, -1.0])  # x(1-x)
@@ -213,3 +218,113 @@ class TestChainsawRefinement:
         trace = refine_extrema(f, 10)
         bound = certified_max_bound(f, trace, 10, 2 ** 13)
         assert bound >= 1.0
+
+
+def whole_level_trace(f, max_level, stall_tol=0.0):
+    """Refinement without streaming: every level's whole net at once."""
+    trace = RefinementTrace(function_id=canonical_text(f))
+    for n in range(max_level + 1):
+        net = dyadic_net(f.domain, n)
+        vals = evaluate_many(f, net.points)
+        i, j = int(np.argmax(vals)), int(np.argmin(vals))  # leftmost
+        trace.levels.append(n)
+        trace.mesh.append(f.domain.span / 2.0 ** n)
+        trace.max_values.append(float(vals[i]))
+        trace.min_values.append(float(vals[j]))
+        trace.argmax.append(float(net.points[i]))
+        trace.argmin.append(float(net.points[j]))
+        trace.certified_gap.append(None)
+        mx, mn = trace.max_values[-3:], trace.min_values[-3:]
+        if stall_tol > 0.0 and n >= 2 and max(
+            abs(mx[2] - mx[1]), abs(mx[1] - mx[0]), abs(mn[2] - mn[1]), abs(mn[1] - mn[0])
+        ) < stall_tol:
+            break
+    return trace
+
+
+# the first level with at least _CHUNK new points (2^(n-1) of them)
+CHUNK_LEVEL = (extremum._CHUNK - 1).bit_length() + 1
+COS40 = parse_function("expr(cos(40*x),lo=0,hi=1)")
+
+
+AWKWARD = parse_function("expr(sin(7*x)+x/3,lo=-0.3,hi=2.9)")  # rounding in lo + span*t
+
+
+def tie_across_chunks(level):
+    """Two equal peaks and two equal dips, all new at ``level``, one of each per half.
+
+    The right half's peak and dip sit nearer the start of their half than
+    the left half's do, so a tie rule that compares indices within a chunk
+    picks the wrong one.
+    """
+    h = 2.0 ** -level
+    pts = [(0.0, 0.0)]
+    for x0, y in ((0.25, -1.0), (0.375, 1.0), (0.5, -1.0), (0.625, 1.0)):
+        pts += [(x0, 0.0), (x0 + h, y), (x0 + 2 * h, 0.0)]
+    return piecewise_linear_function(pts + [(1.0, 0.0)])
+
+
+class TestStreamingMatchesWholeLevels:
+    @pytest.mark.parametrize(
+        "f", [PARABOLA, TWO_PEAK, COS40, AWKWARD, chainsaw_function()],
+        ids=["parabola", "two-peak", "cos40", "awkward", "chainsaw"],
+    )
+    def test_two_full_chunks(self, f):
+        level = CHUNK_LEVEL + 1
+        assert 2 ** (level - 1) == 2 * extremum._CHUNK
+        assert refine_extrema(f, level) == whole_level_trace(f, level)
+
+    # at CHUNK_LEVEL the chunk holds one point more, exactly all, one point
+    # less than the level's new points, or splits them as two full chunks
+    # and a two-point rest
+    @pytest.mark.parametrize(
+        "chunk",
+        [extremum._CHUNK + 1, extremum._CHUNK, extremum._CHUNK - 1, extremum._CHUNK // 2 - 1],
+        ids=["chunk-1-points", "chunk-points", "chunk+1-points", "2chunks+2-points"],
+    )
+    @pytest.mark.parametrize(
+        "f", [PARABOLA, COS40, AWKWARD, chainsaw_function(), tie_across_chunks(CHUNK_LEVEL)],
+        ids=["parabola", "cos40", "awkward", "chainsaw", "tie"],
+    )
+    def test_chunk_boundaries(self, monkeypatch, f, chunk):
+        monkeypatch.setattr(extremum, "_CHUNK", chunk)
+        assert refine_extrema(f, CHUNK_LEVEL) == whole_level_trace(f, CHUNK_LEVEL)
+
+    def test_constant_ties_go_left_in_every_chunk(self):
+        f = polynomial_function([2.5])
+        trace = refine_extrema(f, CHUNK_LEVEL + 1)
+        assert trace == whole_level_trace(f, CHUNK_LEVEL + 1)
+        assert set(trace.argmax) == set(trace.argmin) == {0.0}
+
+    def test_equal_extrema_in_different_chunks_tie_to_the_left(self):
+        level = CHUNK_LEVEL + 1
+        f = tie_across_chunks(level)
+        h = 2.0 ** -level
+        trace = refine_extrema(f, level)
+        assert trace == whole_level_trace(f, level)
+        assert trace.max_values[-2:] == [0.0, 1.0]
+        assert trace.argmax[-1] == 0.375 + h
+        assert trace.argmin[-1] == 0.25 + h
+
+    def test_stall_stops_at_the_same_level(self):
+        f = parse_function("poly(0,1,-1.5)")  # maximum at 1/3, off every net
+        trace = refine_extrema(f, 24, stall_tol=1e-10)
+        assert trace.levels[-1] > CHUNK_LEVEL
+        assert trace == whole_level_trace(f, 24, stall_tol=1e-10)
+
+
+class TestRefineMemoryCeiling:
+    @pytest.mark.parametrize(
+        "spec", ["expr(sin(3*x)*cos(40*x)+x/2,lo=-1,hi=2)", "poly(0.2,-1,3,-1)",
+                 "pwl((0,0),(0.3,2),(0.7,-1),(1,0))"],
+        ids=["expr", "poly", "pwl"],
+    )
+    def test_traced_peak_independent_of_level(self, spec):
+        f = parse_function(spec)
+        tracemalloc.start()
+        try:
+            refine_extrema(f, 22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20

@@ -29,6 +29,7 @@ from epsdelta import (
     power_function,
     range_bounds,
 )
+from epsdelta.functions import DOMAIN_TOL_REL
 
 
 class TestInterval:
@@ -272,6 +273,60 @@ class TestEvaluateMany:
         f = parse_function(spec)
         with pytest.raises(DomainError, match="non-finite"):
             evaluate_many(f, np.linspace(f.domain.lo, f.domain.hi, 64))
+
+    @pytest.mark.parametrize(
+        "xs, offender",
+        [([0.5, np.nan], "nan"), ([np.inf], "inf"), ([0.25, -np.inf, np.nan], "-inf"),
+         ([1.5, np.nan], "1.5"), ([0.5, 1.0 + 2.0 ** -30, 2.0], "1.0000000009313226")],
+    )
+    def test_domain_message_names_first_offender(self, xs, offender):
+        f = power_function(2.0, 1.0)
+        with pytest.raises(DomainError) as info:
+            evaluate_many(f, xs)
+        assert str(info.value) == f"x={offender} outside domain [0.0, 1.0]"
+
+    # +inf, -inf and nan values at x = 0.75 and 0.5
+    @pytest.mark.parametrize(
+        "text", ["1/(x-0.5)+1/(x-0.75)", "-1/(x-0.5)-1/(x-0.75)", "(x-0.5)*(x-0.75)/(x-0.5)/(x-0.75)"]
+    )
+    def test_non_finite_value_message_names_first_offender(self, text):
+        f = expression_function(text, 0.0, 1.0)
+        with pytest.raises(DomainError) as info:
+            evaluate_many(f, [0.25, 0.75, 0.5])
+        assert str(info.value) == "f is non-finite at x=0.75"
+
+    def test_slack_outside_domain_is_clamped(self):
+        f = expression_function("x", -2.0, 6.0)
+        tol = DOMAIN_TOL_REL * f.domain.span
+        xs = np.array([-2.0 - tol / 2, 6.0 + tol / 2, -2.0 - tol, 1.0])
+        assert evaluate_many(f, xs).tolist() == [-2.0, 6.0, -2.0, 1.0]
+        for x in (-2.0 - 2 * tol, 6.0 + 2 * tol):
+            with pytest.raises(DomainError, match="outside domain"):
+                evaluate_many(f, [1.0, x])
+
+    def test_negative_zero_keeps_its_sign(self):
+        f = expression_function("x", 0.0, 1.0)
+        vals = evaluate_many(f, [-0.0, 0.0])
+        assert np.signbit(vals).tolist() == [True, False]
+
+    def test_result_never_aliases_the_argument(self):
+        f = expression_function("x", 0.0, 1.0)
+        xs = np.linspace(0.0, 1.0, 5)
+        vals = evaluate_many(f, xs)
+        assert not np.shares_memory(vals, xs)
+        vals[0] = 7.0
+        assert xs[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["power(alpha=2,b=1)", "chainsaw", "poly(1,-3,1)", "pwl((0,0),(0.3,1),(1,0))",
+         "expr(sin(3*x)+x/2,lo=0,hi=2)", "expr(2,lo=0,hi=1)"],
+    )
+    def test_empty_input_gives_empty_output(self, spec):
+        # pytest turns warnings into errors: an empty reduction would fail here
+        vals = evaluate_many(parse_function(spec), np.empty(0))
+        assert vals.shape == (0,)
+        assert vals.dtype == np.float64
 
 
 class TestRangeBounds:
