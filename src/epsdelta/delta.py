@@ -104,17 +104,15 @@ class DeltaSample:
 class GridConfig:
     """Sampling plan for grid-based tolerance searches.
 
-    The base pass scans a uniform grid of ``resolution`` points (plus
-    the rule's anchor points unless ``include_anchors`` is off); each
-    refinement round re-samples windows around the best pair so far,
-    shrunk by ``ZOOM_FACTOR`` per round.  ``gap_slack_rel`` overrides
-    the boundary-pair admission slack; set it to 0.0 for strict
-    level-set semantics.
+    The base pass scans a uniform grid of ``resolution`` points plus
+    the rule's anchor points; each refinement round re-samples windows
+    around the best pair so far, shrunk by ``ZOOM_FACTOR`` per round.
+    ``gap_slack_rel`` overrides the boundary-pair admission slack; set
+    it to 0.0 for strict level-set semantics.
     """
 
     resolution: int = 4096
     refine_rounds: int = 2
-    include_anchors: bool = True
     gap_slack_rel: float = GAP_SLACK_REL
 
     def __post_init__(self) -> None:
@@ -195,7 +193,7 @@ def optimal_delta_grid(
     """
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    xs, fx = sample_grid(f, cfg.resolution, cfg.include_anchors)
+    xs, fx = sample_grid(f, cfg.resolution, include_anchors=True)
     return _grid_search(f, epsilon, xs, fx, cfg)
 
 
@@ -289,22 +287,19 @@ def optimal_delta_finite(space: FiniteMetricSpace, epsilon: float) -> DeltaSampl
     """Exact optimal tolerance on a finite metric space.
 
     Exhaustive scan over all point pairs; this is the exact oracle the
-    grid search is tested against.  Ties go to the first pair in
-    row-major (i, j) order.
+    grid search is tested against.  The scan runs over the full matrix:
+    the diagonal never qualifies (its gaps are 0 < epsilon) and symmetry
+    only repeats each pair, which leaves the minimum unchanged.
     """
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    n = space.size
-    gaps = np.abs(space.values[:, None] - space.values[None, :])
-    iu, ju = np.triu_indices(n, k=1)
-    qual = gaps[iu, ju] >= epsilon
+    qual = np.abs(space.values[:, None] - space.values[None, :]) >= epsilon
     if not qual.any():
-        spread = float(space.values.max() - space.values.min()) if n else 0.0
+        spread = float(space.values.max() - space.values.min()) if space.size else 0.0
         raise EmptyLevelSet(
             f"no pair can reach gap {epsilon!r}: value spread is only {spread!r}"
         )
-    dists = space.dist[iu, ju][qual]
-    best = float(dists.min())
+    best = float(space.dist[qual].min())
     return DeltaSample(float(epsilon), best, METHOD_EXHAUSTIVE, BIAS_EXACT)
 
 
@@ -337,7 +332,7 @@ def build_profile(
         raise ValueError("need at least one epsilon")
     if any(e <= 0.0 for e in eps_list):
         raise ValueError(f"epsilons must be positive, got {eps_list[0]}")
-    xs, fx = sample_grid(f, cfg.resolution, cfg.include_anchors)
+    xs, fx = sample_grid(f, cfg.resolution, include_anchors=True)
     spread = float(fx.max()) - float(fx.min())
     if spread == 0.0:
         raise EmptyLevelSet(

@@ -37,24 +37,12 @@ from .functions import (
 _CHUNK = 2 ** 15
 
 
-@dataclass
-class DyadicNet:
-    """Level-n split points of an interval: a + (b-a) * k / 2^n."""
-
-    level: int
-    points: np.ndarray
-
-    @property
-    def mesh(self) -> float:
-        return float(self.points[1] - self.points[0]) if self.points.size > 1 else 0.0
-
-
-def dyadic_net(domain: Interval, level: int) -> DyadicNet:
-    """The 2^level + 1 dyadic split points of the domain.
+def dyadic_net(domain: Interval, level: int) -> np.ndarray:
+    """The 2^level + 1 dyadic split points a + (b-a) * k / 2^level of the domain.
 
     Fractions k / 2^level are exact in binary floating point, so nets at
     successive levels are exactly nested; the endpoints are the domain
-    endpoints themselves.
+    endpoints themselves (a -0.0 end included).
     """
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
@@ -66,7 +54,7 @@ def dyadic_net(domain: Interval, level: int) -> DyadicNet:
     pts = domain.lo + domain.span * t
     pts[0] = domain.lo
     pts[-1] = domain.hi
-    return DyadicNet(level=int(level), points=pts)
+    return pts
 
 
 @dataclass
@@ -108,40 +96,32 @@ class RefinementTrace:
         }
 
 
-def refine_extrema(f: RealFunction, max_level: int, stall_tol: float = 0.0) -> RefinementTrace:
+def refine_extrema(f: RealFunction, max_level: int) -> RefinementTrace:
     """Track grid extrema over nested dyadic nets up to ``max_level``.
 
     Each level evaluates only the new midpoints, so the whole run costs
     one evaluation per point of the finest net.  The midpoints stream
     through one reused buffer in chunks of ``_CHUNK`` points, so memory
     stays the same at every level and the evaluation's temporaries stay
-    in cache; the trace is the one a whole-level pass gives.  With
-    ``stall_tol > 0`` the run stops early once both extrema moved less
-    than the tolerance over two consecutive levels.
+    in cache; the trace is the one a whole-level pass gives.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be nonnegative, got {max_level}")
     if max_level > MAX_NET_LEVEL:
         raise LevelTooLarge(f"level {max_level} exceeds the maximum {MAX_NET_LEVEL}")
-    if stall_tol < 0.0:
-        raise ValueError(f"stall_tol must be nonnegative, got {stall_tol}")
     if not (f.domain.span > 0.0):
         raise ValueError("domain must have positive width")
 
     lo, span = f.domain.lo, f.domain.span
     trace = RefinementTrace(function_id=canonical_text(f))
 
-    net0 = dyadic_net(f.domain, 0)
-    v0 = evaluate_many(f, net0.points)
-    # state: value, net index at the current level, abscissa
-    if v0[0] >= v0[1]:
-        cur_max, max_k, max_x = float(v0[0]), 0, float(net0.points[0])
-    else:
-        cur_max, max_k, max_x = float(v0[1]), 1, float(net0.points[1])
-    if v0[0] <= v0[1]:
-        cur_min, min_k, min_x = float(v0[0]), 0, float(net0.points[0])
-    else:
-        cur_min, min_k, min_x = float(v0[1]), 1, float(net0.points[1])
+    ends = dyadic_net(f.domain, 0)
+    v0 = evaluate_many(f, ends)
+    # state: value, net index at the current level, abscissa; argmax and
+    # argmin return the first extreme, the smallest-index tie rule
+    max_k, min_k = int(np.argmax(v0)), int(np.argmin(v0))
+    cur_max, max_x = float(v0[max_k]), float(ends[max_k])
+    cur_min, min_x = float(v0[min_k]), float(ends[min_k])
     _record(trace, 0, span, cur_max, cur_min, max_x, min_x)
 
     # odd net indices 1, 3, 5, ... of one chunk, and the buffer its points go to
@@ -172,14 +152,6 @@ def refine_extrema(f: RealFunction, max_level: int, stall_tol: float = 0.0) -> R
                 cur_min, min_k, min_x = float(vals[i]), k_new, float(pts[i])
 
         _record(trace, n, span / 2.0 ** n, cur_max, cur_min, max_x, min_x)
-
-        if stall_tol > 0.0 and len(trace.levels) >= 3:
-            dmax1 = abs(trace.max_values[-1] - trace.max_values[-2])
-            dmax2 = abs(trace.max_values[-2] - trace.max_values[-3])
-            dmin1 = abs(trace.min_values[-1] - trace.min_values[-2])
-            dmin2 = abs(trace.min_values[-2] - trace.min_values[-3])
-            if max(dmax1, dmax2, dmin1, dmin2) < stall_tol:
-                break
 
     return trace
 
@@ -235,14 +207,10 @@ def envelope(f: RealFunction, resolution: int) -> np.ndarray:
     return np.column_stack((xs, g))
 
 
-def first_maximizer(f: RealFunction, resolution: int, value_tol: float = 0.0) -> float:
-    """Leftmost grid point whose value reaches the grid maximum.
+def first_maximizer(f: RealFunction, resolution: int) -> float:
+    """Leftmost grid point whose value is the grid maximum.
 
-    With ``value_tol > 0``, the first point within that tolerance of the
-    maximum; useful when two peaks tie up to rounding.
+    Values are finite, so ``argmax`` returns the first maximum.
     """
-    if value_tol < 0.0:
-        raise ValueError(f"value_tol must be nonnegative, got {value_tol}")
     xs, fx = sample_grid(f, resolution)
-    # the running maximum first reaches the threshold where fx does
-    return float(xs[np.argmax(fx >= fx.max() - value_tol)])
+    return float(xs[np.argmax(fx)])

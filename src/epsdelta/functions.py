@@ -56,9 +56,6 @@ class Interval:
     def span(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
 
 # ---------------------------------------------------------------------------
 # rule families
@@ -263,12 +260,6 @@ def sample_grid(
         if extra.size:
             xs = np.unique(np.concatenate((xs, extra)))
     return xs, evaluate_many(f, xs)
-
-
-def range_bounds(f: RealFunction, resolution: int) -> tuple[float, float]:
-    """(min, max) of f over a uniform grid of `resolution` points."""
-    _, vals = sample_grid(f, resolution)
-    return float(vals.min()), float(vals.max())
 
 
 def anchor_points(f: RealFunction) -> np.ndarray:

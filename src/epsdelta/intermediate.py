@@ -86,16 +86,6 @@ class TargetSet:
                 return True
         return False
 
-    def boundary_points(self) -> tuple[float, ...]:
-        """Finite endpoints of the pieces, sorted; openness is irrelevant."""
-        ends: set[float] = set()
-        for lo, hi, _, _ in self.pieces:
-            if math.isfinite(lo):
-                ends.add(lo)
-            if math.isfinite(hi):
-                ends.add(hi)
-        return tuple(sorted(ends))
-
     def __str__(self) -> str:
         if not self.pieces:
             return "()"
@@ -149,19 +139,15 @@ def parse_target_set(text: str) -> TargetSet:
     return TargetSet(tuple(pieces))
 
 
-def classify(y: float, target: TargetSet, boundary_tol: float = 0.0) -> str:
+def classify(y: float, target: TargetSet) -> str:
     """Locate y relative to the target set: boundary beats interior.
 
-    Boundary means within ``boundary_tol`` of any finite piece endpoint
-    (openness does not matter there); otherwise interior when strictly
-    inside a piece, exterior when outside all of them.
+    Boundary means equal to a finite piece endpoint (openness does not
+    matter there; an infinite end never counts); otherwise interior when
+    strictly inside a piece, exterior when outside all of them.
     """
-    if boundary_tol < 0.0:
-        raise ValueError(f"boundary_tol must be nonnegative, got {boundary_tol}")
     for lo, hi, _, _ in target.pieces:
-        if math.isfinite(lo) and abs(y - lo) <= boundary_tol:
-            return BOUNDARY
-        if math.isfinite(hi) and abs(y - hi) <= boundary_tol:
+        if (y == lo or y == hi) and math.isfinite(y):
             return BOUNDARY
     for lo, hi, _, _ in target.pieces:
         if lo < y < hi:
@@ -216,9 +202,9 @@ class BisectionTrace:
         }
 
 
-def _run_bisection(value_at, a: float, b: float, target: TargetSet, steps: int,
-                   boundary_tol: float) -> BisectionTrace:
-    fa, fb = value_at(a), value_at(b)
+def _run_bisection(value_at, a: float, b: float, fa: float, fb: float,
+                   target: TargetSet, steps: int) -> BisectionTrace:
+    """Bisect [a, b] given the end values fa = value_at(a), fb = value_at(b)."""
     a_in, b_in = target.contains(fa), target.contains(fb)
     if a_in == b_in:
         state = "inside" if a_in else "outside"
@@ -234,12 +220,13 @@ def _run_bisection(value_at, a: float, b: float, target: TargetSet, steps: int,
         if mid == a or mid == b:
             break
         y = value_at(mid)
-        cls = classify(y, target, boundary_tol)
+        cls = classify(y, target)
         trace.steps.append(BisectionStep(k, a, b, mid, cls))
         if cls == BOUNDARY:
             trace.boundary_hit = mid
             break
-        if target.contains(y):
+        # y is no piece endpoint here, so interior means inside the target
+        if cls == INTERIOR:
             a = mid
         else:
             b = mid
@@ -248,21 +235,21 @@ def _run_bisection(value_at, a: float, b: float, target: TargetSet, steps: int,
     return trace
 
 
-def bisect_boundary(f: RealFunction, target: TargetSet, steps: int,
-                    boundary_tol: float = 0.0) -> BisectionTrace:
+def bisect_boundary(f: RealFunction, target: TargetSet, steps: int) -> BisectionTrace:
     """Bisect the domain toward a point where f crosses the target boundary.
 
     Requires exactly one of f(a), f(b) to lie in the target set
-    (PreconditionViolated otherwise).  A midpoint whose value classifies
-    as boundary (within ``boundary_tol``) stops the run early and is
+    (PreconditionViolated otherwise).  A midpoint whose value is a finite
+    piece endpoint classifies as boundary, stops the run early and is
     reported as ``boundary_hit``.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if not (f.domain.span > 0.0):
         raise ValueError("domain must have positive width")
+    lo, hi = f.domain.lo, f.domain.hi
     return _run_bisection(
-        lambda x: evaluate(f, x), f.domain.lo, f.domain.hi, target, steps, boundary_tol
+        lambda x: evaluate(f, x), lo, hi, evaluate(f, lo), evaluate(f, hi), target, steps
     )
 
 
@@ -281,7 +268,7 @@ def classical_ivt(f: RealFunction, c: float, steps: int) -> BisectionTrace:
         )
     target = TargetSet(((-math.inf, float(c), True, True),))
     return _run_bisection(
-        lambda x: evaluate(f, x), f.domain.lo, f.domain.hi, target, steps, 0.0
+        lambda x: evaluate(f, x), f.domain.lo, f.domain.hi, fa, fb, target, steps
     )
 
 
@@ -289,9 +276,9 @@ def classical_ivt(f: RealFunction, c: float, steps: int) -> BisectionTrace:
 class FixedPointResult:
     """Outcome of a fixed-point search: an endpoint hit or a bracket.
 
-    ``endpoint`` is set when |f(e) - e| <= endpoint_tol at a domain
-    endpoint e; otherwise ``trace`` holds the bisection run on
-    g(x) = f(x) - x against the target (0, inf).
+    ``endpoint`` is set when f(e) = e at a domain endpoint e; otherwise
+    ``trace`` holds the bisection run on g(x) = f(x) - x against the
+    target (0, inf).
     """
 
     endpoint: float | None = None
@@ -319,41 +306,39 @@ class FixedPointResult:
         }
 
 
-def fixed_point(f: RealFunction, steps: int, endpoint_tol: float = 0.0) -> FixedPointResult:
+def fixed_point(f: RealFunction, steps: int) -> FixedPointResult:
     """Bracket a fixed point of a self-map of its own domain.
 
     The self-map requirement is checked on a level-10 dyadic net;
     NotSelfMap (with a witness point) reports the first escape.  If an
-    endpoint is already fixed up to ``endpoint_tol`` it is returned
-    directly; otherwise g(x) = f(x) - x has g(a) > 0 >= g(b), and the
-    boundary search on D = (0, inf) brackets a sign change of g.  A
-    midpoint with g exactly 0 stops early as a boundary hit.
+    endpoint e has f(e) = e exactly it is returned directly; otherwise
+    g(x) = f(x) - x has g(a) > 0 > g(b), and the boundary search on
+    D = (0, inf) brackets a sign change of g.  A midpoint with g exactly
+    0 stops early as a boundary hit.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    if endpoint_tol < 0.0:
-        raise ValueError(f"endpoint_tol must be nonnegative, got {endpoint_tol}")
     if not (f.domain.span > 0.0):
         raise ValueError("domain must have positive width")
 
     lo, hi = f.domain.lo, f.domain.hi
     net = dyadic_net(f.domain, SELF_MAP_NET_LEVEL)
-    vals = evaluate_many(f, net.points)
+    vals = evaluate_many(f, net)
     escaped = (vals < lo) | (vals > hi)
     if escaped.any():
         i = int(np.argmax(escaped))
-        witness = (float(net.points[i]), float(vals[i]))
+        witness = (float(net[i]), float(vals[i]))
         raise NotSelfMap(
             f"f({witness[0]!r})={witness[1]!r} leaves the domain [{lo!r}, {hi!r}]", witness
         )
 
-    if abs(evaluate(f, lo) - lo) <= endpoint_tol:
+    ga = evaluate(f, lo) - lo
+    if ga == 0.0:
         return FixedPointResult(endpoint=lo)
-    if abs(evaluate(f, hi) - hi) <= endpoint_tol:
+    gb = evaluate(f, hi) - hi
+    if gb == 0.0:
         return FixedPointResult(endpoint=hi)
 
     target = TargetSet(((0.0, math.inf, True, True),))
-    trace = _run_bisection(
-        lambda x: evaluate(f, x) - x, lo, hi, target, steps, 0.0
-    )
+    trace = _run_bisection(lambda x: evaluate(f, x) - x, lo, hi, ga, gb, target, steps)
     return FixedPointResult(trace=trace)

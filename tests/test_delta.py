@@ -186,9 +186,8 @@ class TestFiniteSpaces:
                 spread = float(gaps.max())
                 for _ in range(3):
                     eps = float(rng.uniform(0.1, 0.9)) * spread
-                    cfg = GridConfig(
-                        resolution=k, refine_rounds=0, include_anchors=False, gap_slack_rel=0.0
-                    )
+                    # these families have no anchor points: the grid is the k points
+                    cfg = GridConfig(resolution=k, refine_rounds=0, gap_slack_rel=0.0)
                     assert (
                         optimal_delta_finite(sp, eps).delta
                         == optimal_delta_grid(f, eps, cfg).delta

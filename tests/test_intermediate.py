@@ -25,6 +25,7 @@ from epsdelta import (
     piecewise_linear_function,
     polynomial_function,
 )
+from epsdelta import intermediate
 from epsdelta.serialize import csv_text, json_text
 
 
@@ -69,8 +70,12 @@ class TestTargetSet:
         assert parse_target_set("(-inf,0)").contains(-1e30)
 
     def test_boundary_points(self):
-        assert parse_target_set("(-inf,0)").boundary_points() == (0.0,)
-        assert parse_target_set("(0,1)u(2,3)").boundary_points() == (0.0, 1.0, 2.0, 3.0)
+        # the finite piece endpoints, whatever their openness, and nothing else
+        d = parse_target_set("(0,1]u[2,3)")
+        for y in (0.0, 1.0, 2.0, 3.0):
+            assert classify(y, d) == BOUNDARY
+        for y in (-1.0, 0.5, 1.5, 2.5, 4.0):
+            assert classify(y, d) != BOUNDARY
 
     def test_str_round_trips(self):
         for text in ("(-inf,0)", "[0,1]", "(0,1)u(2,3)", "(0.5,inf)"):
@@ -105,9 +110,8 @@ class TestClassify:
         assert classify(1.0, d) == BOUNDARY
 
     def test_tolerance_band(self):
-        d = parse_target_set("(0,1)")
-        assert classify(0.999, d, boundary_tol=0.01) == BOUNDARY
-        assert classify(0.999, d, boundary_tol=1e-6) == INTERIOR
+        # boundary means equal to an endpoint: there is no band around it
+        assert classify(0.999, parse_target_set("(0,1)")) == INTERIOR
 
     def test_half_line(self):
         d = parse_target_set("(-inf,0.5)")
@@ -121,9 +125,12 @@ class TestClassify:
         assert classify(1.5, d) == EXTERIOR
         assert classify(2.5, d) == INTERIOR
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            classify(0.5, parse_target_set("(0,1)"), boundary_tol=-0.1)
+    def test_infinite_values_are_exterior(self):
+        # infinite ends are open and no boundary point, even where y equals one
+        for text in ("(-inf,0)", "[0,1]", "(0,inf)"):
+            d = parse_target_set(text)
+            assert classify(-math.inf, d) == EXTERIOR
+            assert classify(math.inf, d) == EXTERIOR
 
 
 class TestBisectBoundary:
@@ -176,12 +183,13 @@ class TestBisectBoundary:
         assert evaluate(f, a) < 1.0 < evaluate(f, trace.final_bracket[1])
         assert abs(trace.final_midpoint - 1.0 / 3.0) < 2.0 ** -18
 
-    def test_boundary_tol_stops_early(self):
-        f = piecewise_linear_function([(0.0, -1.0), (1.0, 1.0)])
-        trace = bisect_boundary(f, parse_target_set("(-inf,0)"), 40, boundary_tol=1e-3)
-        assert trace.boundary_hit is not None
-        assert abs(evaluate(f, trace.boundary_hit)) <= 1e-3
-        assert len(trace.steps) < 40
+    def test_boundary_hit_stops_early(self):
+        # f(3/8) = 0 exactly, reached at the third midpoint
+        f = piecewise_linear_function([(0.0, -3.0), (1.0, 5.0)])
+        trace = bisect_boundary(f, parse_target_set("(-inf,0)"), 40)
+        assert trace.boundary_hit == 0.375
+        assert evaluate(f, trace.boundary_hit) == 0.0
+        assert [s.midpoint_class for s in trace.steps] == [EXTERIOR, INTERIOR, BOUNDARY]
 
     def test_zero_steps(self):
         f = piecewise_linear_function([(0.0, -1.0), (1.0, 1.0)])
@@ -271,12 +279,12 @@ class TestFixedPoint:
         assert result.estimate == 0.0
 
     def test_endpoint_tol(self):
-        # f(0) = 0.001: fixed only up to a loose tolerance
+        # the endpoint test is exact: f(0) = 0.001 is no fixed point, and
+        # the bisection finds x = 0.5
         f = polynomial_function([0.001, 0.998])
-        assert fixed_point(f, 10, endpoint_tol=0.01).endpoint == 0.0
-        loose = fixed_point(f, 30, endpoint_tol=0.0)
-        assert loose.endpoint is None
-        assert loose.estimate == pytest.approx(0.5, abs=1e-8)
+        result = fixed_point(f, 30)
+        assert result.endpoint is None
+        assert result.estimate == pytest.approx(0.5, abs=1e-8)
 
     def test_exact_interior_hit(self):
         f = piecewise_linear_function([(0.0, 1.0), (1.0, 0.0)])  # 1 - x
@@ -332,3 +340,24 @@ def test_bisection_handles_discontinuous_functions():
     assert abs(b - a) == 2.0 ** -20
     assert min(a, b) <= 0.375 <= max(a, b)
     assert np.isclose(trace.error_bound, 2.0 ** -20)
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize("steps", [0, 1, 40])
+    @pytest.mark.parametrize(
+        "search",
+        [lambda n: classical_ivt(expression_function("x^3", 0.0, 2.0), 2.0, n),
+         lambda n: fixed_point(expression_function("cos(x)", 0.0, 1.0), n).trace],
+        ids=["ivt", "fixpoint"],
+    )
+    def test_each_end_and_midpoint_evaluated_once(self, monkeypatch, search, steps):
+        calls = []
+
+        def counted(f, x):
+            calls.append(x)
+            return evaluate(f, x)
+
+        monkeypatch.setattr(intermediate, "evaluate", counted)
+        trace = search(steps)
+        assert len(trace.steps) == steps
+        assert len(calls) == steps + 2
