@@ -15,13 +15,15 @@ The text grammar accepted by :func:`parse_function`::
     expr(<expression>,lo=<r>,hi=<r>)   arithmetic/trig expression in x
 
 Expression primitives: ``+ - * / ^`` (also ``**``), ``sin``, ``cos``,
-``abs``, numeric literals, and ``pi``.
+``abs``, numeric literals, and ``pi``.  An expression may nest at most
+200 levels, counting every parenthesis, function, sign, power and
+chained operator; a deeper one is a ParseError (CLI exit code 2).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi as _PI
 
 import numpy as np
@@ -51,6 +53,8 @@ class Interval:
             raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+        if not np.isfinite(float(self.hi) - float(self.lo)):
+            raise ValueError(f"interval width overflows: [{self.lo}, {self.hi}]")
 
     @property
     def span(self) -> float:
@@ -148,11 +152,11 @@ def piecewise_linear_function(points) -> RealFunction:
 
 
 def expression_function(text: str, lo: float, hi: float) -> RealFunction:
-    stream = _Tokens(text)
-    tree = _parse_expression(stream)
-    tok = stream.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r} after expression", tok.pos)
+    parser = _Parser(text)
+    tree, _ = parser.expression()
+    kind, rest, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {rest!r} after expression", pos)
     return RealFunction(Interval(float(lo), float(hi)), Expression(tree))
 
 
@@ -161,30 +165,30 @@ def expression_function(text: str, lo: float, hi: float) -> RealFunction:
 # ---------------------------------------------------------------------------
 
 
+# Expression operators, name -> (symbol, precedence, numpy ufunc), read by
+# the parser, the evaluator and the printer.  The ufuncs are the ones that
+# ``+ - * / **`` and unary ``-`` call on arrays.
+_OPERATORS = {
+    "add": ("+", 1, np.add),
+    "sub": ("-", 1, np.subtract),
+    "mul": ("*", 2, np.multiply),
+    "div": ("/", 2, np.divide),
+    "neg": ("-", 3, np.negative),
+    "pow": ("^", 4, np.power),
+}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "abs": np.abs}
+# symbol -> (name, precedence) of the left-associative binary operators
+_BINARY = {_OPERATORS[n][0]: (n, _OPERATORS[n][1]) for n in ("add", "sub", "mul", "div")}
+
+
 def _eval_node(node: tuple, x: np.ndarray) -> np.ndarray:
     op = node[0]
     if op == "const":
         return np.full(x.shape, node[1])
     if op == "x":
         return x
-    if op == "neg":
-        return -_eval_node(node[1], x)
-    if op in ("sin", "cos", "abs"):
-        u = _eval_node(node[1], x)
-        return {"sin": np.sin, "cos": np.cos, "abs": np.abs}[op](u)
-    a = _eval_node(node[1], x)
-    b = _eval_node(node[2], x)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b
-    raise ValueError(f"unknown expression node {op!r}")
+    ufunc = _FUNCTIONS[op] if op in _FUNCTIONS else _OPERATORS[op][2]
+    return ufunc(*[_eval_node(arg, x) for arg in node[1:]])
 
 
 def evaluate_many(f: RealFunction, xs) -> np.ndarray:
@@ -287,38 +291,35 @@ def anchor_points(f: RealFunction) -> np.ndarray:
 
 
 def _fmt(v: float) -> str:
-    return "%.17g" % float(v)
-
-
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
+    # the grammar has no inf; 1e999 reads back as one
+    return ("%.17g" % float(v)).replace("inf", "1e999")
 
 
 def _expr_text(node: tuple, parent_prec: int = 0) -> str:
     op = node[0]
     if op == "const":
         text = _fmt(node[1])
-        prec = _PREC["neg"] if node[1] < 0 else 9
+        # a printed sign binds like a prefix minus: (-0)^x is not -0^x
+        prec = _OPERATORS["neg"][1] if text[0] == "-" else 9
     elif op == "x":
         text, prec = "x", 9
-    elif op in ("sin", "cos", "abs"):
+    elif op in _FUNCTIONS:
         text, prec = f"{op}({_expr_text(node[1])})", 9
-    elif op == "neg":
-        prec = _PREC["neg"]
-        text = "-" + _expr_text(node[1], prec)
     else:
-        prec = _PREC[op]
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[op]
-        if op == "pow":
-            # right-associative
-            text = _expr_text(node[1], prec + 1) + sym + _expr_text(node[2], prec)
+        sym, prec, _ = _OPERATORS[op]
+        if op == "neg":
+            text = sym + _expr_text(node[1], prec)
         else:
-            text = _expr_text(node[1], prec) + sym + _expr_text(node[2], prec + 1)
+            # ^ associates to the right, + - * / to the left
+            left, right = (prec + 1, prec) if op == "pow" else (prec, prec + 1)
+            text = _expr_text(node[1], left) + sym + _expr_text(node[2], right)
     return f"({text})" if prec < parent_prec else text
 
 
 def canonical_text(f: RealFunction) -> str:
     """Round-trippable text form: parse_function(canonical_text(f)) has
-    an identical rule."""
+    an identical rule.  A signed exponent prints in parentheses (x^-y as
+    x^(-y)), one level more, so the text may nest past the depth bound."""
     rule = f.rule
     if isinstance(rule, PowerFamily):
         return f"power(alpha={_fmt(rule.alpha)},b={_fmt(rule.b)})"
@@ -344,225 +345,176 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>\*\*|[()+\-*/^,=]))"
 )
 
+# levels an expression may nest: each parenthesis, function, sign, power
+# and chained operator counts one
+_MAX_DEPTH = 200
 
-@dataclass
-class _Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
+_FAMILIES = "power, chainsaw, poly, pwl, or expr"
 
 
-@dataclass
-class _Tokens:
-    source: str
-    index: int = 0
-    _toks: list[_Token] = field(default_factory=list)
+class _Parser:
+    """Recursive descent over the ``(kind, text, pos)`` tokens of one spec.
 
-    def __post_init__(self) -> None:
+    Expression methods take the nesting level they start at and return
+    ``(tree, depth)``; ``deeper`` holds both to ``_MAX_DEPTH``, which
+    bounds this recursion and every tree that evaluation and printing
+    recurse over.
+    """
+
+    def __init__(self, source: str) -> None:
+        self.toks: list[tuple[str, str, int]] = []
+        self.i = 0
         pos = 0
-        s = self.source
-        while pos < len(s):
-            m = _TOKEN_RE.match(s, pos)
-            if m is None:
-                stripped = s[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(s) - len(stripped)
-                raise ParseError(f"unrecognized character {stripped[0]!r}", at)
+        while (m := _TOKEN_RE.match(source, pos)) is not None:
             kind = m.lastgroup or "op"
-            self._toks.append(_Token(kind, m.group(kind), m.start(kind)))
+            self.toks.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
-        self._toks.append(_Token("end", "", len(s)))
+        rest = source[pos:].lstrip()
+        if rest:
+            raise ParseError(f"unrecognized character {rest[0]!r}", len(source) - len(rest))
+        self.toks.append(("end", "", len(source)))
 
-    def peek(self) -> _Token:
-        return self._toks[self.index]
+    def peek(self) -> tuple[str, str, int]:
+        return self.toks[self.i]
 
-    def take(self) -> _Token:
-        tok = self._toks[self.index]
-        if tok.kind != "end":
-            self.index += 1
+    def take(self) -> tuple[str, str, int]:
+        tok = self.toks[self.i]
+        if tok[0] != "end":
+            self.i += 1
         return tok
 
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"got {tok.text or 'end of input'!r}", tok.pos, expected=repr(text))
-        return self.take()
+    @staticmethod
+    def fail(tok: tuple[str, str, int], expected: str):
+        raise ParseError(f"got {tok[1] or 'end of input'!r}", tok[2], expected=expected)
 
-    def expect_name(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "name" or tok.text != text:
-            raise ParseError(f"got {tok.text or 'end of input'!r}", tok.pos, expected=repr(text))
-        return self.take()
+    @staticmethod
+    def deeper(depth: int, tok: tuple[str, str, int]) -> int:
+        """``depth + 1``, or a ParseError at ``tok`` past ``_MAX_DEPTH``."""
+        if depth >= _MAX_DEPTH:
+            raise ParseError("expression nested too deeply", tok[2])
+        return depth + 1
 
-    def expect_number(self) -> float:
-        sign = 1.0
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ("+", "-"):
+    def expect(self, text: str) -> None:
+        """Take the name or operator ``text``."""
+        tok = self.take()
+        if tok[1] != text:
+            self.fail(tok, repr(text))
+
+    def number(self) -> float:
+        sign, tok = 1.0, self.take()
+        if tok[1] in ("+", "-"):
+            sign, tok = (-1.0 if tok[1] == "-" else 1.0), self.take()
+        if tok[0] != "num":
+            self.fail(tok, "a number")
+        return sign * float(tok[1])
+
+    def keyword(self, name: str) -> float:
+        self.expect(name)
+        self.expect("=")
+        return self.number()
+
+    def pair(self) -> tuple[float, float]:
+        self.expect("(")
+        x = self.number()
+        self.expect(",")
+        y = self.number()
+        self.expect(")")
+        return x, y
+
+    def items(self, item) -> list:
+        """A parenthesized, comma-separated list of one or more ``item()``."""
+        self.expect("(")
+        values = [item()]
+        while self.peek()[1] == ",":
             self.take()
-            sign = -1.0 if tok.text == "-" else 1.0
-            tok = self.peek()
-        if tok.kind != "num":
-            raise ParseError(f"got {tok.text or 'end of input'!r}", tok.pos, expected="a number")
+            values.append(item())
+        self.expect(")")
+        return values
+
+    def expression(self, level: int = 0, min_prec: int = 1) -> tuple[tuple, int]:
+        """Precedence climbing over the left-associative + - * /."""
+        node, depth = self.unary(level)
+        while (op := _BINARY.get(self.peek()[1])) is not None and op[1] >= min_prec:
+            tok = self.take()
+            rhs, rhs_depth = self.expression(self.deeper(level, tok), op[1] + 1)
+            node, depth = (op[0], node, rhs), self.deeper(max(depth, rhs_depth), tok)
+        return node, depth
+
+    def unary(self, level: int) -> tuple[tuple, int]:
+        """Signs, then an atom with an optional right-associative power."""
+        tok = self.peek()
+        if tok[1] in ("-", "+"):
+            self.take()
+            node, depth = self.unary(self.deeper(level, tok))
+            if tok[1] == "-":
+                # -<number> folds into one negative constant
+                node = ("const", -node[1]) if node[0] == "const" else ("neg", node)
+            return node, self.deeper(depth, tok)
+        node, depth = self.atom(level)
+        tok = self.peek()
+        if tok[1] not in ("^", "**"):
+            return node, depth
         self.take()
-        return sign * float(tok.text)
+        exponent, exp_depth = self.unary(self.deeper(level, tok))
+        return ("pow", node, exponent), self.deeper(max(depth, exp_depth), tok)
 
-
-def _parse_atom(ts: _Tokens) -> tuple:
-    tok = ts.peek()
-    if tok.kind == "num":
-        ts.take()
-        return ("const", float(tok.text))
-    if tok.kind == "name":
-        ts.take()
-        if tok.text == "x":
-            return ("x",)
-        if tok.text == "pi":
-            return ("const", _PI)
-        if tok.text in ("sin", "cos", "abs"):
-            ts.expect_op("(")
-            inner = _parse_expression(ts)
-            ts.expect_op(")")
-            return (tok.text, inner)
-        raise ParseError(f"unknown name {tok.text!r}", tok.pos, expected="x, pi, sin, cos, or abs")
-    if tok.kind == "op" and tok.text == "(":
-        ts.take()
-        inner = _parse_expression(ts)
-        ts.expect_op(")")
-        return inner
-    raise ParseError(
-        f"got {tok.text or 'end of input'!r}", tok.pos, expected="a number, x, function, or '('"
-    )
-
-
-def _parse_power(ts: _Tokens) -> tuple:
-    base = _parse_atom(ts)
-    tok = ts.peek()
-    if tok.kind == "op" and tok.text in ("^", "**"):
-        ts.take()
-        return ("pow", base, _parse_unary(ts))
-    return base
-
-
-def _parse_unary(ts: _Tokens) -> tuple:
-    tok = ts.peek()
-    if tok.kind == "op" and tok.text == "-":
-        ts.take()
-        inner = _parse_unary(ts)
-        if inner[0] == "const":
-            return ("const", -inner[1])
-        return ("neg", inner)
-    if tok.kind == "op" and tok.text == "+":
-        ts.take()
-        return _parse_unary(ts)
-    return _parse_power(ts)
-
-
-def _parse_term(ts: _Tokens) -> tuple:
-    node = _parse_unary(ts)
-    while True:
-        tok = ts.peek()
-        if tok.kind == "op" and tok.text in ("*", "/"):
-            ts.take()
-            rhs = _parse_unary(ts)
-            node = ("mul" if tok.text == "*" else "div", node, rhs)
-        else:
-            return node
-
-
-def _parse_expression(ts: _Tokens) -> tuple:
-    node = _parse_term(ts)
-    while True:
-        tok = ts.peek()
-        if tok.kind == "op" and tok.text in ("+", "-"):
-            ts.take()
-            rhs = _parse_term(ts)
-            node = ("add" if tok.text == "+" else "sub", node, rhs)
-        else:
-            return node
-
-
-def _parse_pair(ts: _Tokens) -> tuple[float, float]:
-    ts.expect_op("(")
-    x = ts.expect_number()
-    ts.expect_op(",")
-    y = ts.expect_number()
-    ts.expect_op(")")
-    return x, y
+    def atom(self, level: int) -> tuple[tuple, int]:
+        """A number, x, pi, ``f(expression)`` or ``(expression)``."""
+        kind, text, pos = tok = self.take()
+        if kind == "num":
+            return ("const", float(text)), 0
+        if text in ("x", "pi"):
+            return (("x",) if text == "x" else ("const", _PI)), 0
+        if kind == "name":
+            if text not in _FUNCTIONS:
+                raise ParseError(f"unknown name {text!r}", pos, expected="x, pi, sin, cos, or abs")
+            self.expect("(")
+        elif text != "(":
+            self.fail(tok, "a number, x, function, or '('")
+        node, depth = self.expression(self.deeper(level, tok))
+        self.expect(")")
+        return (node if text == "(" else (text, node)), self.deeper(depth, tok)
 
 
 def parse_function(spec: str) -> RealFunction:
-    """Parse a function spec string; see the module docstring for the grammar."""
-    ts = _Tokens(spec)
-    head = ts.peek()
-    if head.kind != "name":
-        raise ParseError(
-            f"got {head.text or 'end of input'!r}",
-            head.pos,
-            expected="power, chainsaw, poly, pwl, or expr",
-        )
-    ts.take()
-
-    if head.text == "chainsaw":
-        f = chainsaw_function()
-    elif head.text == "power":
-        ts.expect_op("(")
-        ts.expect_name("alpha")
-        ts.expect_op("=")
-        alpha = ts.expect_number()
-        ts.expect_op(",")
-        ts.expect_name("b")
-        ts.expect_op("=")
-        b = ts.expect_number()
-        ts.expect_op(")")
-        try:
+    """Parse a function spec string (grammar in the module docstring);
+    invalid family parameters are a ParseError at the family name."""
+    parser = _Parser(spec)
+    head = kind, family, pos = parser.take()
+    if kind != "name":
+        parser.fail(head, _FAMILIES)
+    try:
+        if family == "chainsaw":
+            f = chainsaw_function()
+        elif family == "power":
+            parser.expect("(")
+            alpha = parser.keyword("alpha")
+            parser.expect(",")
+            b = parser.keyword("b")
+            parser.expect(")")
             f = power_function(alpha, b)
-        except ValueError as exc:
-            raise ParseError(str(exc), head.pos) from exc
-    elif head.text == "poly":
-        ts.expect_op("(")
-        coeffs = [ts.expect_number()]
-        while ts.peek().text == ",":
-            ts.take()
-            coeffs.append(ts.expect_number())
-        ts.expect_op(")")
-        f = polynomial_function(coeffs)
-    elif head.text == "pwl":
-        ts.expect_op("(")
-        points = [_parse_pair(ts)]
-        while ts.peek().text == ",":
-            ts.take()
-            points.append(_parse_pair(ts))
-        ts.expect_op(")")
-        try:
-            f = piecewise_linear_function(points)
-        except ValueError as exc:
-            raise ParseError(str(exc), head.pos) from exc
-    elif head.text == "expr":
-        ts.expect_op("(")
-        tree = _parse_expression(ts)
-        ts.expect_op(",")
-        ts.expect_name("lo")
-        ts.expect_op("=")
-        lo = ts.expect_number()
-        ts.expect_op(",")
-        ts.expect_name("hi")
-        ts.expect_op("=")
-        hi = ts.expect_number()
-        ts.expect_op(")")
-        if lo >= hi:
-            raise ParseError(f"need lo < hi, got lo={lo} hi={hi}", head.pos)
-        f = RealFunction(Interval(lo, hi), Expression(tree))
-    else:
-        raise ParseError(
-            f"unknown function family {head.text!r}",
-            head.pos,
-            expected="power, chainsaw, poly, pwl, or expr",
-        )
-
-    tail = ts.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected trailing {tail.text!r}", tail.pos)
+        elif family == "poly":
+            f = polynomial_function(parser.items(parser.number))
+        elif family == "pwl":
+            f = piecewise_linear_function(parser.items(parser.pair))
+        elif family == "expr":
+            parser.expect("(")
+            tree, _ = parser.expression()
+            parser.expect(",")
+            lo = parser.keyword("lo")
+            parser.expect(",")
+            hi = parser.keyword("hi")
+            parser.expect(")")
+            if lo >= hi:
+                raise ParseError(f"need lo < hi, got lo={lo} hi={hi}", pos)
+            f = RealFunction(Interval(lo, hi), Expression(tree))
+        else:
+            raise ParseError(f"unknown function family {family!r}", pos, expected=_FAMILIES)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from exc
+    kind, text, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing {text!r}", pos)
     return f
 
 

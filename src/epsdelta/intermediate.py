@@ -332,10 +332,11 @@ def fixed_point(f: RealFunction, steps: int) -> FixedPointResult:
             f"f({witness[0]!r})={witness[1]!r} leaves the domain [{lo!r}, {hi!r}]", witness
         )
 
-    ga = evaluate(f, lo) - lo
+    # the net's ends are the domain's, so its end values are f(lo) and f(hi)
+    ga = float(vals[0]) - lo
     if ga == 0.0:
         return FixedPointResult(endpoint=lo)
-    gb = evaluate(f, hi) - hi
+    gb = float(vals[-1]) - hi
     if gb == 0.0:
         return FixedPointResult(endpoint=hi)
 

@@ -317,6 +317,39 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: f is non-finite at x=")
 
+    @pytest.mark.parametrize(
+        "body",
+        ["(" * 400 + "x" + ")" * 400, "sin(" * 400 + "x" + ")" * 400,
+         "+".join(["x"] * 3000), "-" * 3000 + "x"],
+        ids=["parens", "sin", "sum", "minus"],
+    )
+    def test_deep_expression_is_two(self, capsys, body):
+        code, out, err = invoke(
+            capsys, "maximize", "--fn", f"expr({body},lo=0,hi=1)", "--level", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expression nested too deeply (at position ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (("bisect", "--fn", "expr(x,lo=-1e308,hi=1e308)", "--target", "(-inf,0)",
+              "--steps", "3"), " (at position 0)"),
+            (("fixpoint", "--fn", "expr(x,lo=-1e308,hi=1e308)", "--steps", "3"),
+             " (at position 0)"),
+            (("bisect", "--fn", "poly(0,1)", "--lo=-1e308", "--hi=1e308", "--target",
+              "(-inf,0)", "--steps", "3"), ""),
+        ],
+        ids=["spec-bisect", "spec-fixpoint", "flags-bisect"],
+    )
+    def test_overflowing_domain_width_is_two(self, capsys, argv, where):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: interval width overflows: [-1e+308, 1e+308]{where}\n"
+
     def test_success_is_zero(self, capsys):
         code, _, _ = invoke(capsys, "delta", "--fn", "chainsaw", "--eps", "0.5")
         assert code == 0

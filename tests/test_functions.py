@@ -11,14 +11,17 @@ import epsdelta
 from epsdelta import (
     Chainsaw,
     DomainError,
+    Expression,
     FiniteMetricSpace,
     Interval,
     ParseError,
     PiecewiseLinear,
     Polynomial,
     PowerFamily,
+    RealFunction,
     anchor_points,
     canonical_text,
+    certified_max_bound,
     chainsaw_function,
     evaluate,
     evaluate_many,
@@ -27,6 +30,7 @@ from epsdelta import (
     piecewise_linear_function,
     polynomial_function,
     power_function,
+    refine_extrema,
     sample_grid,
 )
 from epsdelta.functions import DOMAIN_TOL_REL
@@ -38,8 +42,10 @@ class TestInterval:
             Interval(1.0, 0.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Interval(0.0, np.inf)
+        # an infinite width would make the domain slack infinite too
+        for lo, hi in ((0.0, np.inf), (-1e308, 1e308)):
+            with pytest.raises(ValueError):
+                Interval(lo, hi)
 
     def test_span(self):
         assert Interval(-1.0, 3.0).span == 4.0
@@ -234,6 +240,107 @@ class TestParseFunction:
         assert canonical_text(chainsaw_function()) == "chainsaw"
         assert canonical_text(power_function(2, 1)) == "power(alpha=2,b=1)"
         assert canonical_text(parse_function("poly(0.1,-2)")) == "poly(0.10000000000000001,-2)"
+
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            ("expr((-0)^x,lo=0,hi=1)", "expr((-0)^x,lo=0,hi=1)"),
+            ("expr(-0^x,lo=0,hi=1)", "expr(-0^x,lo=0,hi=1)"),
+            ("expr(x+1/1e400,lo=0,hi=1)", "expr(x+1/1e999,lo=0,hi=1)"),
+            ("expr(-1e400*x,lo=0,hi=1)", "expr(-1e999*x,lo=0,hi=1)"),
+        ],
+    )
+    def test_canonical_text_of_signed_zero_and_inf(self, spec, text):
+        f = parse_function(spec)
+        assert canonical_text(f) == text
+        assert repr(parse_function(text)) == repr(f)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_canonical_text_round_trips_generated_trees(self, data):
+        tree = data.draw(expression_trees())
+        f = RealFunction(Interval(-1.5, 2.0), Expression(tree))
+        assert repr(parse_function(canonical_text(f))) == repr(f)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("expr(x,lo=-1e400,hi=1)", "interval endpoints must be finite"),
+            ("expr(x,lo=0,hi=1e400)", "interval endpoints must be finite"),
+            ("expr(x,lo=-1e308,hi=1e308)", "interval width overflows"),
+            ("pwl((-1e308,0),(1e308,1))", "interval width overflows"),
+        ],
+    )
+    def test_bad_domain_is_a_parse_error_at_the_family(self, spec, message):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_function(spec)
+        assert info.value.position == 0
+
+
+CONSTANTS = [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 2.5, -2.5, 3.0, -7.0, np.pi]
+
+
+@st.composite
+def expression_trees(draw, depth=0):
+    """Trees as the parser builds them: a sign on a number is part of the
+    constant, so ``neg`` never holds a constant."""
+    kinds = ["const", "x"] + (["neg", "fn", "bin"] if depth < 5 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "const":
+        return ("const", draw(st.sampled_from(CONSTANTS) | st.floats(allow_nan=False)))
+    if kind == "x":
+        return ("x",)
+    inner = draw(expression_trees(depth + 1))
+    if kind == "neg":
+        return ("neg", inner) if inner[0] != "const" else ("const", -inner[1])
+    if kind == "fn":
+        return (draw(st.sampled_from(["sin", "cos", "abs"])), inner)
+    op = draw(st.sampled_from(["add", "sub", "mul", "div", "pow"]))
+    return (op, inner, draw(expression_trees(depth + 1)))
+
+
+# spec bodies 'depth' levels deep, one level per parenthesis, function, sign,
+# power or chained operator
+DEEP_SHAPES = {
+    "parens": lambda n: "(" * n + "x" + ")" * n,
+    "sin": lambda n: "sin(" * n + "x" + ")" * n,
+    "sum": lambda n: "+".join(["x"] * (n + 1)),
+    "minus": lambda n: "-" * n + "x",
+    "power": lambda n: "x^" * n + "x",
+    "differences": lambda n: "x-(" * (n // 2) + "x" + ")" * (n // 2) + "+x" * (n % 2),
+}
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_deep_spec_parses_evaluates_and_round_trips(self, shape):
+        f = parse_function(f"expr({DEEP_SHAPES[shape](199)},lo=0.5,hi=1)")
+        assert np.isfinite(evaluate_many(f, np.linspace(0.5, 1.0, 9))).all()
+        again = parse_function(canonical_text(f))
+        assert repr(again) == repr(f)
+        trace = refine_extrema(again, 4)
+        assert certified_max_bound(again, trace, 4, 64) >= trace.max_values[-1]
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_bound_is_two_hundred_levels(self, shape):
+        parse_function(f"expr({DEEP_SHAPES[shape](200)},lo=0.5,hi=1)")
+        expression_function(DEEP_SHAPES[shape](200), 0.5, 1.0)
+        for depth in (201, 3000):
+            for parse in (
+                lambda: parse_function(f"expr({DEEP_SHAPES[shape](depth)},lo=0.5,hi=1)"),
+                lambda: expression_function(DEEP_SHAPES[shape](depth), 0.5, 1.0),
+            ):
+                with pytest.raises(ParseError, match="nested too deeply"):
+                    parse()
+
+    # "expr(" is 5 characters: the 201st "(", "sin", "+" or "-"
+    @pytest.mark.parametrize(
+        "shape, position", [("parens", 205), ("sin", 805), ("sum", 406), ("minus", 205)]
+    )
+    def test_error_names_the_first_token_past_the_bound(self, shape, position):
+        with pytest.raises(ParseError) as info:
+            parse_function(f"expr({DEEP_SHAPES[shape](201)},lo=0,hi=1)")
+        assert info.value.position == position
 
 
 class TestEvaluateMany:

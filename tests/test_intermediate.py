@@ -18,9 +18,12 @@ from epsdelta import (
     bisect_boundary,
     classical_ivt,
     classify,
+    dyadic_net,
     evaluate,
+    evaluate_many,
     expression_function,
     fixed_point,
+    parse_function,
     parse_target_set,
     piecewise_linear_function,
     polynomial_function,
@@ -257,6 +260,33 @@ class TestClassicalIvt:
             classical_ivt(f, 0.0, 5)
 
 
+def net_end_specs():
+    """Every family, signed zeros, and sin/cos on domains with awkward ends."""
+    specs = ["chainsaw", "power(alpha=0.5,b=2.25)", "power(alpha=3,b=7.3)", "poly(-2,0,0,1)",
+             "poly(-0.0,-1)", "pwl((-1.3,2),(0.2,-1),(5.7,3))", "expr(x,lo=-0,hi=1)",
+             "expr(-x,lo=0,hi=1)", "expr(sin(x),lo=-0,hi=3.14)"]
+    rng = np.random.default_rng(17)
+    for k in range(60):
+        lo = float(rng.choice([rng.uniform(-1e4, 1e4), rng.uniform(-10, 10), rng.uniform(1e5, 1e6)]))
+        hi = lo + float(rng.choice([rng.uniform(1e-9, 1), rng.uniform(1, 1e4)]))
+        fn = "sin" if k % 2 else "cos"
+        scale = ["1", "3", "40", "0.37", "1e3", "pi"][k % 6]
+        specs.append(f"expr({fn}({scale}*x)+{fn}(x)/3,lo={lo!r},hi={hi!r})")
+    return specs
+
+
+class TestSelfMapNetEnds:
+    """fixed_point reads f(lo) and f(hi) off the ends of its self-map net."""
+
+    @pytest.mark.parametrize("spec", net_end_specs())
+    def test_net_end_values_match_evaluate_bit_for_bit(self, spec):
+        f = parse_function(spec)
+        vals = evaluate_many(f, dyadic_net(f.domain, intermediate.SELF_MAP_NET_LEVEL))
+        for end, value in ((f.domain.lo, vals[0]), (f.domain.hi, vals[-1])):
+            # repr tells -0.0 from 0.0 and prints every bit of a finite float
+            assert repr(evaluate(f, end)) == repr(float(value))
+
+
 class TestFixedPoint:
     def test_cosine(self):
         f = expression_function("cos(x)", 0.0, 1.0)
@@ -343,14 +373,15 @@ def test_bisection_handles_discontinuous_functions():
 
 
 class TestEvaluationCount:
+    # fixed_point takes both end values from its self-map net
     @pytest.mark.parametrize("steps", [0, 1, 40])
     @pytest.mark.parametrize(
-        "search",
-        [lambda n: classical_ivt(expression_function("x^3", 0.0, 2.0), 2.0, n),
-         lambda n: fixed_point(expression_function("cos(x)", 0.0, 1.0), n).trace],
+        "search, end_calls",
+        [(lambda n: classical_ivt(expression_function("x^3", 0.0, 2.0), 2.0, n), 2),
+         (lambda n: fixed_point(expression_function("cos(x)", 0.0, 1.0), n).trace, 0)],
         ids=["ivt", "fixpoint"],
     )
-    def test_each_end_and_midpoint_evaluated_once(self, monkeypatch, search, steps):
+    def test_each_end_and_midpoint_evaluated_once(self, monkeypatch, search, end_calls, steps):
         calls = []
 
         def counted(f, x):
@@ -360,4 +391,4 @@ class TestEvaluationCount:
         monkeypatch.setattr(intermediate, "evaluate", counted)
         trace = search(steps)
         assert len(trace.steps) == steps
-        assert len(calls) == steps + 2
+        assert len(calls) == steps + end_calls

@@ -403,6 +403,42 @@ class TestLargeGrids:
             )
 
 
+FAMILIES = ["chainsaw", "power(alpha=0.5,b=2)", "poly(0,1,-1)",
+            "pwl((0,0),(0.3,1),(0.31,0.2),(1,0.9))", "expr(sin(7*x)+x/3,lo=-0.3,hi=2.9)"]
+DUALITY_EPS = (1e-3, 0.01, 0.1, 0.25, 0.5, 0.5001, 0.9, 1.0)
+
+
+def assert_duality(x, fx, eps):
+    """delta(eps) and the modulus are generalized inverses on one grid: the
+    smallest distance with a gap of eps brings an eps gap into the window,
+    and one rounded distance less does not."""
+    d = _kernels.min_dist_pair(x, fx, eps)[0]
+    if not math.isfinite(d):
+        return 0
+    assert _kernels.max_gap_within(x, fx, d) >= eps
+    assert _kernels.max_gap_within(x, fx, np.nextafter(d, -np.inf)) < eps
+    return 1
+
+
+class TestDuality:
+    """Oracle-free: min_dist_pair and max_gap_within check each other."""
+
+    @pytest.mark.parametrize("n", [64, 1000, 4096])
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_sampled_grids(self, spec, n):
+        x, fx = _grid(spec, n)
+        spread = float(fx.max() - fx.min())
+        checked = sum(assert_duality(x, fx, t * spread) for t in DUALITY_EPS)
+        assert checked == len(DUALITY_EPS)
+
+    @pytest.mark.parametrize("n", [5, 40, 400, 3000])
+    def test_random_inputs_with_a_repeated_abscissa(self, n):
+        for seed in range(10):
+            x, fx = sample_inputs(seed, n, duplicates=True)
+            for eps in (1e-6, 0.05, 0.3, 1.0, 1.9):
+                assert_duality(x, fx, eps)
+
+
 class TestMemoryCeiling:
     @pytest.mark.parametrize(
         "scan",
