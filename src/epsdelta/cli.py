@@ -9,6 +9,7 @@ escapes from the domain), 2 usage and parse errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .delta import (
@@ -24,6 +25,10 @@ from .extremum import certified_max_bound, envelope, first_maximizer, refine_ext
 from .functions import Interval, Polynomial, RealFunction, parse_function
 from .intermediate import bisect_boundary, classical_ivt, fixed_point, parse_target_set
 from .serialize import csv_text, json_text
+
+
+# argparse's own pattern has no exponent, so it would read -1e3 as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
 
 def _eps_list(text: str) -> list[float]:
@@ -45,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--fn", required=True, help="function spec, e.g. 'power(alpha=2,b=1)'")
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--lo", type=float, default=None, help="domain low end (poly only)")
@@ -101,8 +107,6 @@ def _resolve_function(args: argparse.Namespace) -> RealFunction:
         )
     lo = args.lo if args.lo is not None else f.domain.lo
     hi = args.hi if args.hi is not None else f.domain.hi
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"need --lo < --hi, got {lo} and {hi}")
     return RealFunction(Interval(lo, hi), f.rule)
 
 

@@ -275,8 +275,6 @@ def _chainsaw_jump_index(epsilon: float) -> int | None:
     if not (0.0 < epsilon <= 1.0):
         return None
     n = round(1.0 / epsilon)
-    if n < 1:
-        return None
     # accept the float nearest 1/n, reject anything a real offset away
     if abs(epsilon - 1.0 / n) > 4.0 * np.spacing(1.0 / n):
         return None
@@ -295,7 +293,7 @@ def optimal_delta_finite(space: FiniteMetricSpace, epsilon: float) -> DeltaSampl
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     qual = np.abs(space.values[:, None] - space.values[None, :]) >= epsilon
     if not qual.any():
-        spread = float(space.values.max() - space.values.min()) if space.size else 0.0
+        spread = float(space.values.max() - space.values.min())
         raise EmptyLevelSet(
             f"no pair can reach gap {epsilon!r}: value spread is only {spread!r}"
         )
@@ -334,10 +332,6 @@ def build_profile(
         raise ValueError(f"epsilons must be positive, got {eps_list[0]}")
     xs, fx = sample_grid(f, cfg.resolution, include_anchors=True)
     spread = float(fx.max()) - float(fx.min())
-    if spread == 0.0:
-        raise EmptyLevelSet(
-            "range spread is 0 on the grid: every epsilon has an empty level set"
-        )
     samples: list[DeltaSample] = []
     for eps in eps_list:
         try:

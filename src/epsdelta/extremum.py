@@ -48,8 +48,6 @@ def dyadic_net(domain: Interval, level: int) -> np.ndarray:
         raise ValueError(f"level must be nonnegative, got {level}")
     if level > MAX_NET_LEVEL:
         raise LevelTooLarge(f"level {level} exceeds the maximum {MAX_NET_LEVEL}")
-    if not (domain.span > 0.0):
-        raise ValueError("domain must have positive width")
     t = np.arange(2 ** level + 1, dtype=np.float64) / 2.0 ** level
     pts = domain.lo + domain.span * t
     pts[0] = domain.lo
@@ -109,8 +107,6 @@ def refine_extrema(f: RealFunction, max_level: int) -> RefinementTrace:
         raise ValueError(f"max_level must be nonnegative, got {max_level}")
     if max_level > MAX_NET_LEVEL:
         raise LevelTooLarge(f"level {max_level} exceeds the maximum {MAX_NET_LEVEL}")
-    if not (f.domain.span > 0.0):
-        raise ValueError("domain must have positive width")
 
     lo, span = f.domain.lo, f.domain.span
     trace = RefinementTrace(function_id=canonical_text(f))

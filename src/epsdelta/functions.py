@@ -43,7 +43,7 @@ MAX_NET_LEVEL: int = 24
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with lo <= hi, both finite."""
+    """Closed interval [lo, hi] with lo < hi, both ends and the width finite."""
 
     lo: float
     hi: float
@@ -51,8 +51,8 @@ class Interval:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+        if not self.lo < self.hi:
+            raise ValueError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
         if not np.isfinite(float(self.hi) - float(self.lo)):
             raise ValueError(f"interval width overflows: [{self.lo}, {self.hi}]")
 
@@ -134,7 +134,8 @@ class RealFunction:
 
 
 def power_function(alpha: float, b: float) -> RealFunction:
-    return RealFunction(Interval(0.0, float(b)), PowerFamily(float(alpha), float(b)))
+    rule = PowerFamily(float(alpha), float(b))
+    return RealFunction(Interval(0.0, rule.b), rule)
 
 
 def chainsaw_function() -> RealFunction:
@@ -228,8 +229,8 @@ def evaluate_many(f: RealFunction, xs) -> np.ndarray:
         elif isinstance(rule, Expression):
             vals = np.asarray(_eval_node(rule.tree, xc), dtype=np.float64)
             # a bare ``x`` returns its argument: never hand back the caller's array
-            if vals.shape != xc.shape or vals is xs:
-                vals = np.broadcast_to(vals, xc.shape).copy()
+            if vals is xs:
+                vals = vals.copy()
         else:
             raise TypeError(f"unknown rule type {type(rule).__name__}")
     if vals.size and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
@@ -505,8 +506,6 @@ def parse_function(spec: str) -> RealFunction:
             parser.expect(",")
             hi = parser.keyword("hi")
             parser.expect(")")
-            if lo >= hi:
-                raise ParseError(f"need lo < hi, got lo={lo} hi={hi}", pos)
             f = RealFunction(Interval(lo, hi), Expression(tree))
         else:
             raise ParseError(f"unknown function family {family!r}", pos, expected=_FAMILIES)
@@ -525,7 +524,7 @@ def parse_function(spec: str) -> RealFunction:
 
 @dataclass
 class FiniteMetricSpace:
-    """A finite point set with a metric and a real value per point.
+    """A nonempty finite point set with a metric and a real value per point.
 
     Distances must form a genuine metric: zero diagonal, symmetric, and
     triangle inequality up to a small float-rounding slack.
@@ -540,6 +539,8 @@ class FiniteMetricSpace:
         self.dist = np.asarray(self.dist, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
         n = len(self.labels)
+        if n == 0:
+            raise ValueError("a finite metric space needs at least one point")
         if self.dist.shape != (n, n):
             raise ValueError(f"dist must be {n}x{n}, got {self.dist.shape}")
         if self.values.shape != (n,):

@@ -245,8 +245,6 @@ def bisect_boundary(f: RealFunction, target: TargetSet, steps: int) -> Bisection
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    if not (f.domain.span > 0.0):
-        raise ValueError("domain must have positive width")
     lo, hi = f.domain.lo, f.domain.hi
     return _run_bisection(
         lambda x: evaluate(f, x), lo, hi, evaluate(f, lo), evaluate(f, hi), target, steps
@@ -318,8 +316,6 @@ def fixed_point(f: RealFunction, steps: int) -> FixedPointResult:
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    if not (f.domain.span > 0.0):
-        raise ValueError("domain must have positive width")
 
     lo, hi = f.domain.lo, f.domain.hi
     net = dyadic_net(f.domain, SELF_MAP_NET_LEVEL)

@@ -307,6 +307,22 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ivt", "--fn", "poly(0,1)", "--lo", "1", "--hi", "1", "--c", "0.5",
+              "--steps", "3"), "interval needs lo < hi, got [1.0, 1.0]"),
+            (("maximize", "--fn", "expr(x,lo=1,hi=1)", "--level", "3"),
+             "interval needs lo < hi, got [1.0, 1.0] (at position 0)"),
+        ],
+        ids=["flags", "spec"],
+    )
+    def test_zero_width_domain_is_two(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "spec", ["poly(1e308,1e308)", "pwl((0,0),(1,1e400))", "power(alpha=400,b=10)"]
     )
     def test_non_finite_values_are_one(self, capsys, spec):
@@ -356,6 +372,21 @@ class TestExitCodes:
 
 
 class TestDomainFlags:
+    @pytest.mark.parametrize(
+        "flag, value, rest",
+        [
+            ("--lo", "-1e3", ("--hi", "1", "--c", "0.5")),
+            ("--lo", "-.5e2", ("--hi", "1", "--c", "0.5")),
+            ("--c", "-2.5e-1", ("--lo", "-1", "--hi", "1")),
+            ("--c", "-2.5E-1", ("--lo", "-1", "--hi", "1")),
+        ],
+    )
+    def test_negative_exponent_values(self, capsys, flag, value, rest):
+        base = ("ivt", "--fn", "poly(0,1)", *rest, "--steps", "3")
+        code, out, err = invoke(capsys, *base, flag, value)
+        assert code == 0, err
+        assert (code, out, err) == invoke(capsys, *base, f"{flag}={value}")
+
     def test_poly_domain_override(self, capsys):
         code, out, _ = invoke(
             capsys, "envelope", "--fn", "poly(0,1)", "--lo", "-1", "--hi", "3",

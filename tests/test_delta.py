@@ -90,6 +90,36 @@ class TestClosedForm:
             optimal_delta_closed_form(IDENTITY, 0.1)
 
 
+def sawtooth_delta(eps):
+    """Exact sawtooth tolerance on (0, 1].  An optimal pair lies on one
+    rising flank, and the steepest flank that climbs eps is tooth
+    m = floor(1/eps)'s: slope 2m + 1, height 1/m."""
+    return eps / (2.0 * np.floor(1.0 / eps) + 1.0)
+
+
+class TestSawtoothOracle:
+    def test_closed_form_at_jump_points(self):
+        f = chainsaw_function()
+        for n in range(1, 13):
+            want = sawtooth_delta(1.0 / n)
+            assert optimal_delta_closed_form(f, 1.0 / n).delta == pytest.approx(want, rel=1e-15)
+
+    def test_grid_brackets_exact_delta(self):
+        f = chainsaw_function()
+        step = f.domain.span / (GridConfig().resolution - 1)
+        checked = 0
+        for eps in np.geomspace(1e-3, 1.0, 20):
+            n = round(1.0 / eps)
+            # floor(1/eps) is fragile in floating point next to a jump point
+            if abs(eps - 1.0 / n) <= 1e-9 * eps:
+                continue
+            exact = sawtooth_delta(eps)
+            delta = optimal_delta_grid(f, float(eps)).delta
+            assert exact * (1.0 - 1e-9) <= delta <= exact + 2.0 * step, eps
+            checked += 1
+        assert checked == 18
+
+
 class TestGridSearch:
     def test_identity(self):
         s = optimal_delta_grid(IDENTITY, 0.25, GridConfig(resolution=1025))

@@ -47,6 +47,11 @@ class TestInterval:
             with pytest.raises(ValueError):
                 Interval(lo, hi)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_needs_positive_width(self, lo, hi):
+        with pytest.raises(ValueError, match=r"interval needs lo < hi"):
+            Interval(lo, hi)
+
     def test_span(self):
         assert Interval(-1.0, 3.0).span == 4.0
 
@@ -269,6 +274,9 @@ class TestParseFunction:
             ("expr(x,lo=0,hi=1e400)", "interval endpoints must be finite"),
             ("expr(x,lo=-1e308,hi=1e308)", "interval width overflows"),
             ("pwl((-1e308,0),(1e308,1))", "interval width overflows"),
+            ("expr(x,lo=1,hi=1)", "interval needs lo < hi"),
+            ("power(alpha=2,b=0)", "b must be positive, got 0.0"),
+            ("power(alpha=2,b=-1)", "b must be positive, got -1.0"),
         ],
     )
     def test_bad_domain_is_a_parse_error_at_the_family(self, spec, message):
@@ -514,6 +522,10 @@ class TestFiniteMetricSpace:
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(ValueError):
             FiniteMetricSpace(("a", "b", "c"), d, np.zeros(3))
+
+    def test_rejects_empty_space(self):
+        with pytest.raises(ValueError, match="needs at least one point"):
+            FiniteMetricSpace((), np.zeros((0, 0)), np.zeros(0))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
