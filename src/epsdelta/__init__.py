@@ -6,6 +6,8 @@ extrema over nested dyadic nets with certified bounds, and runs
 generalized intermediate-value bisection against target sets.
 """
 
+from types import ModuleType as _ModuleType
+
 from .delta import (
     BIAS_EXACT,
     BIAS_UPPER_BOUND,
@@ -81,67 +83,8 @@ from .intermediate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BIAS_EXACT",
-    "BIAS_UPPER_BOUND",
-    "BOUNDARY",
-    "BisectionStep",
-    "BisectionTrace",
-    "Chainsaw",
-    "DeltaProfile",
-    "DeltaSample",
-    "DomainError",
-    "EmptyLevelSet",
-    "EpsDeltaError",
-    "Expression",
-    "EXTERIOR",
-    "FiniteMetricSpace",
-    "FixedPointResult",
-    "GridConfig",
-    "INTERIOR",
-    "Interval",
-    "LevelTooLarge",
-    "MAX_NET_LEVEL",
-    "METHOD_CLOSED_FORM",
-    "METHOD_EXHAUSTIVE",
-    "METHOD_GRID",
-    "NotSelfMap",
-    "OutOfRange",
-    "ParseError",
-    "PiecewiseLinear",
-    "Polynomial",
-    "PowerFamily",
-    "PreconditionViolated",
-    "RealFunction",
-    "RefinementTrace",
-    "TargetSet",
-    "UnsupportedFamily",
-    "VerificationReport",
-    "anchor_points",
-    "bisect_boundary",
-    "build_profile",
-    "canonical_text",
-    "certified_max_bound",
-    "chainsaw_function",
-    "classical_ivt",
-    "classify",
-    "dyadic_net",
-    "envelope",
-    "evaluate",
-    "evaluate_many",
-    "expression_function",
-    "first_maximizer",
-    "fixed_point",
-    "modulus_of_continuity",
-    "optimal_delta_closed_form",
-    "optimal_delta_finite",
-    "optimal_delta_grid",
-    "parse_function",
-    "parse_target_set",
-    "piecewise_linear_function",
-    "polynomial_function",
-    "power_function",
-    "refine_extrema",
-    "sample_grid",
-    "verify_largest_delta",
-]
+# every public name imported above; the submodules those imports bind stay out
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

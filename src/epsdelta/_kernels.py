@@ -93,6 +93,13 @@ def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
     return pair
 
 
+def _offset_gaps(x: np.ndarray, fx: np.ndarray, first: int, last: int):
+    """``(d, x[d:] - x[:-d], |fx[d:] - fx[:-d]|)`` for the direct stage's
+    offsets ``d = first .. last`` below ``x.size``."""
+    for d in range(first, min(x.size, last + 1)):
+        yield d, x[d:] - x[:-d], np.abs(fx[d:] - fx[:-d])
+
+
 def _scan_offsets(x: np.ndarray, fx: np.ndarray, eps: float, first: int, last: int, pair):
     """The direct stage of `min_dist_pair` over offsets ``first .. last``.
 
@@ -100,20 +107,17 @@ def _scan_offsets(x: np.ndarray, fx: np.ndarray, eps: float, first: int, last: i
     the closest pair after these offsets, and whether it is final: no
     later offset can beat it.
     """
-    n = x.size
-    for d in range(first, min(n, last + 1)):
-        dx = x[d:] - x[:-d]
-        offset_min = float(dx.min())
-        qual = np.abs(fx[d:] - fx[:-d]) >= eps
+    for d, dx, gap in _offset_gaps(x, fx, first, last):
+        qual = gap >= eps
         if qual.any():
             cand = np.where(qual, dx, np.inf)
             i = int(np.argmin(cand))
             # ties go to the lexicographically smaller (i, j)
             pair = min(pair, (float(cand[i]), i, i + d))
         # offsets only widen: min over offset d+1 >= min over offset d
-        if pair[1] >= 0 and offset_min > pair[0]:
+        if pair[1] >= 0 and float(dx.min()) > pair[0]:
             return pair, True
-    return pair, n <= last + 1
+    return pair, x.size <= last + 1
 
 
 def max_gap_within(x: np.ndarray, fx: np.ndarray, delta: float) -> float:
@@ -126,15 +130,13 @@ def max_gap_within(x: np.ndarray, fx: np.ndarray, delta: float) -> float:
     delta = float(delta)
     n = x.size
     best = 0.0
-    for d in range(1, min(n, _STAGE + 1)):
-        dx = x[d:] - x[:-d]
-        offset_min = float(dx.min())
+    for _, dx, gap in _offset_gaps(x, fx, 1, _STAGE):
         mask = dx <= delta
         if mask.any():
-            g = float(np.abs(fx[d:] - fx[:-d])[mask].max())
+            g = float(gap[mask].max())
             if g > best:
                 best = g
-        if offset_min > delta:
+        if float(dx.min()) > delta:
             return best
     if n <= _STAGE + 1:
         return best
@@ -189,17 +191,14 @@ def find_violation(x: np.ndarray, fx: np.ndarray, eps: float, dist_bound: float)
     eps = float(eps)
     dist_bound = float(dist_bound)
     n = x.size
-    bi = -1
-    bj = -1
-    for d in range(1, min(n, _STAGE + 1)):
-        dx = x[d:] - x[:-d]
-        hit = (dx < dist_bound) & (np.abs(fx[d:] - fx[:-d]) >= eps)
+    bi = bj = -1
+    for d, dx, gap in _offset_gaps(x, fx, 1, _STAGE):
+        hit = (dx < dist_bound) & (gap >= eps)
         if hit.any():
             i = int(np.argmax(hit))
-            j = i + d
-            if bi < 0 or i < bi or (i == bi and j < bj):
-                bi = i
-                bj = j
+            # a later offset pairs row bi only with a later point
+            if bi < 0 or i < bi:
+                bi, bj = i, i + d
         if float(dx.min()) >= dist_bound:
             return bi, bj
     if n <= _STAGE + 1:

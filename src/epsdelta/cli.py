@@ -3,7 +3,8 @@
 One subcommand per operation; every command takes ``--output json|csv``
 and prints a single deterministic document to stdout.  Exit codes:
 0 success, 1 analysis errors (empty level set, precondition failures,
-escapes from the domain), 2 usage and parse errors.
+escapes from the domain, a result JSON cannot hold), 2 usage and parse
+errors.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .delta import (
 )
 from .errors import EpsDeltaError, ParseError
 from .extremum import certified_max_bound, envelope, first_maximizer, refine_extrema
-from .functions import Interval, Polynomial, RealFunction, parse_function
+from .functions import _NUMBER, Interval, Polynomial, RealFunction, parse_function
 from .intermediate import bisect_boundary, classical_ivt, fixed_point, parse_target_set
 from .serialize import csv_text, json_text
 
 
 # argparse's own pattern has no exponent, so it would read -1e3 as an option
-_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}$")
 
 
 def _eps_list(text: str) -> list[float]:

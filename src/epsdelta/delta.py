@@ -266,19 +266,24 @@ def optimal_delta_closed_form(f: RealFunction, epsilon: float) -> DeltaSample:
                 f"sawtooth closed form needs epsilon = 1/n for a whole n >= 1, got {epsilon!r}"
             )
         delta = 1.0 / (n * (2.0 * n + 1.0))
+        if delta == 0.0:
+            raise OutOfRange(
+                f"sawtooth closed form underflows below epsilon about 1e-154, got {epsilon!r}"
+            )
         return DeltaSample(float(epsilon), float(delta), METHOD_CLOSED_FORM, BIAS_EXACT)
     raise UnsupportedFamily(f"no closed form for {type(rule).__name__}")
 
 
-def _chainsaw_jump_index(epsilon: float) -> int | None:
-    """n such that epsilon is 1/n up to rounding, else None."""
+def _chainsaw_jump_index(epsilon: float) -> float | None:
+    """The whole n, as a float (inf where 1/epsilon overflows), such that
+    epsilon is 1/n up to rounding, else None."""
     if not (0.0 < epsilon <= 1.0):
         return None
-    n = round(1.0 / epsilon)
+    n = round(1.0 / epsilon, 0)
     # accept the float nearest 1/n, reject anything a real offset away
     if abs(epsilon - 1.0 / n) > 4.0 * np.spacing(1.0 / n):
         return None
-    return int(n)
+    return n
 
 
 def optimal_delta_finite(space: FiniteMetricSpace, epsilon: float) -> DeltaSample:
@@ -309,7 +314,7 @@ def modulus_of_continuity(f: RealFunction, delta: float, resolution: int) -> flo
     so the value is exact only when an extreme pair lies on the grid.
     delta = 0 gives 0 (the grid has no repeated abscissas).
     """
-    if delta < 0.0:
+    if not (delta >= 0.0):
         raise ValueError(f"delta must be nonnegative, got {delta}")
     xs, fx = sample_grid(f, resolution)
     return _kernels.max_gap_within(xs, fx, float(delta))

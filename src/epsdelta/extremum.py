@@ -113,19 +113,17 @@ def refine_extrema(f: RealFunction, max_level: int) -> RefinementTrace:
 
     ends = dyadic_net(f.domain, 0)
     v0 = evaluate_many(f, ends)
-    # state: value, net index at the current level, abscissa; argmax and
-    # argmin return the first extreme, the smallest-index tie rule
-    max_k, min_k = int(np.argmax(v0)), int(np.argmin(v0))
-    cur_max, max_x = float(v0[max_k]), float(ends[max_k])
-    cur_min, min_x = float(v0[min_k]), float(ends[min_k])
+    # state: value and abscissa; argmax and argmin return the first
+    # extreme, the leftmost-point tie rule
+    i, j = int(np.argmax(v0)), int(np.argmin(v0))
+    cur_max, max_x = float(v0[i]), float(ends[i])
+    cur_min, min_x = float(v0[j]), float(ends[j])
     _record(trace, 0, span, cur_max, cur_min, max_x, min_x)
 
     # odd net indices 1, 3, 5, ... of one chunk, and the buffer its points go to
     odd = np.arange(1, 2 * min(_CHUNK, 2 ** max_level // 2), 2, dtype=np.float64)
     buf = np.empty_like(odd)
     for n in range(1, max_level + 1):
-        max_k *= 2
-        min_k *= 2
         # new points of level n are the odd multiples of 2^-n, k = 2j + 1
         count = 2 ** (n - 1)
         for start in range(0, count, _CHUNK):
@@ -137,15 +135,13 @@ def refine_extrema(f: RealFunction, max_level: int) -> RefinementTrace:
             pts += lo
             vals = evaluate_many(f, pts)
 
-            # folding chunks left to right keeps the smallest-index tie rule
+            # net points never decrease with their index: ties move only leftward
             i = int(np.argmax(vals))
-            k_new = 2 * (start + i) + 1
-            if vals[i] > cur_max or (vals[i] == cur_max and k_new < max_k):
-                cur_max, max_k, max_x = float(vals[i]), k_new, float(pts[i])
+            if vals[i] > cur_max or (vals[i] == cur_max and pts[i] < max_x):
+                cur_max, max_x = float(vals[i]), float(pts[i])
             i = int(np.argmin(vals))
-            k_new = 2 * (start + i) + 1
-            if vals[i] < cur_min or (vals[i] == cur_min and k_new < min_k):
-                cur_min, min_k, min_x = float(vals[i]), k_new, float(pts[i])
+            if vals[i] < cur_min or (vals[i] == cur_min and pts[i] < min_x):
+                cur_min, min_x = float(vals[i]), float(pts[i])
 
         _record(trace, n, span / 2.0 ** n, cur_max, cur_min, max_x, min_x)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import pi as _PI
+from math import inf as _INF, pi as _PI
 
 import numpy as np
 
@@ -340,10 +340,13 @@ def canonical_text(f: RealFunction) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
+# an unsigned numeric literal; a sign is a token of its own
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"\s*(?:(?P<num>{_NUMBER})"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[()+\-*/^,=]))"
+    r"|(?P<op>\*\*|[()\[\]+\-*/^,=]))"
 )
 
 # levels an expression may nest: each parenthesis, function, sign, power
@@ -354,7 +357,7 @@ _FAMILIES = "power, chainsaw, poly, pwl, or expr"
 
 
 class _Parser:
-    """Recursive descent over the ``(kind, text, pos)`` tokens of one spec.
+    """Recursive descent over the ``(kind, text, pos)`` tokens of a spec or target set.
 
     Expression methods take the nesting level they start at and return
     ``(tree, depth)``; ``deeper`` holds both to ``_MAX_DEPTH``, which
@@ -401,12 +404,15 @@ class _Parser:
         if tok[1] != text:
             self.fail(tok, repr(text))
 
-    def number(self) -> float:
+    def number(self, inf: bool = False) -> float:
+        """A literal with an optional sign; with ``inf`` set, also ``inf``."""
         sign, tok = 1.0, self.take()
         if tok[1] in ("+", "-"):
             sign, tok = (-1.0 if tok[1] == "-" else 1.0), self.take()
+        if inf and tok[1] == "inf":
+            return sign * _INF
         if tok[0] != "num":
-            self.fail(tok, "a number")
+            self.fail(tok, "a number or a signed inf" if inf else "a number")
         return sign * float(tok[1])
 
     def keyword(self, name: str) -> float:

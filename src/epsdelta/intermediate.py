@@ -15,14 +15,13 @@ than a boundary value.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotSelfMap, ParseError, PreconditionViolated
 from .extremum import dyadic_net
-from .functions import RealFunction, evaluate, evaluate_many
+from .functions import RealFunction, _Parser, evaluate, evaluate_many
 from .serialize import format_float
 
 INTERIOR = "interior"
@@ -99,44 +98,30 @@ class TargetSet:
         return "u".join(parts)
 
 
-_PIECE_RE = re.compile(r"\s*([\[(])\s*([^,()\[\]\s]+)\s*,\s*([^,()\[\]\s]+)\s*([\])])")
-
-
-def _parse_endpoint(text: str, pos: int) -> float:
-    low = text.lower()
-    if low in ("inf", "+inf"):
-        return math.inf
-    if low == "-inf":
-        return -math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"bad endpoint {text!r}", pos, expected="a number or -inf/inf") from None
-
-
 def parse_target_set(text: str) -> TargetSet:
-    """Parse e.g. ``(-inf,0)``, ``[0,1]``, or ``(0,1)u(2,3)``."""
+    """Parse e.g. ``(-inf,0)``, ``[0,1]``, or ``(0,1)u(2,3)``: pieces
+    joined by ``u`` or ``U``, each end a number as in function specs or
+    a signed ``inf``."""
+    parser = _Parser(text)
     pieces = []
-    pos = 0
     while True:
-        m = _PIECE_RE.match(text, pos)
-        if m is None:
-            raise ParseError("expected an interval piece", pos, expected="'(' or '['")
-        lo = _parse_endpoint(m.group(2), m.start(2))
-        hi = _parse_endpoint(m.group(3), m.start(3))
+        left = parser.take()
+        if left[1] not in ("(", "["):
+            parser.fail(left, "'(' or '['")
+        lo = parser.number(inf=True)
+        parser.expect(",")
+        hi = parser.number(inf=True)
+        right = parser.take()
+        if right[1] not in (")", "]"):
+            parser.fail(right, "')' or ']'")
         if lo > hi:
-            raise ParseError(f"endpoints out of order: {m.group(0).strip()!r}", m.start())
-        pieces.append((lo, hi, m.group(1) == "(", m.group(4) == ")"))
-        pos = m.end()
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos == len(text):
-            break
-        if text[pos] in ("u", "U"):
-            pos += 1
-        else:
-            raise ParseError(f"unexpected {text[pos]!r}", pos, expected="'u' between pieces")
-    return TargetSet(tuple(pieces))
+            raise ParseError(f"endpoints out of order: {text[left[2]:right[2] + 1]!r}", left[2])
+        pieces.append((lo, hi, left[1] == "(", right[1] == ")"))
+        tok = parser.take()
+        if tok[0] == "end":
+            return TargetSet(tuple(pieces))
+        if tok[1] not in ("u", "U"):
+            parser.fail(tok, "'u' between pieces")
 
 
 def classify(y: float, target: TargetSet) -> str:

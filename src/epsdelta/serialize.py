@@ -1,13 +1,16 @@
 """Deterministic text serialization.
 
 JSON output carries floats at 17 significant digits (lossless for
-float64), CSV at 12.  Both are emitted with fixed key order and "\\n"
-line endings so repeated runs are byte-identical.
+float64), CSV at 12.  JSON has no inf or NaN, so a document holding one
+is refused.  Both are emitted with fixed key order and "\\n" line
+endings so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+
+from .errors import EpsDeltaError
 
 
 def format_float(v: float, sig: int = 17) -> str:
@@ -24,7 +27,10 @@ def _emit(obj, indent: int) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format_float(obj)
+        text = format_float(obj)
+        if not text[-1].isdigit():  # inf or nan: a finite float ends in a digit
+            raise EpsDeltaError(f"JSON cannot hold the value {text}; use --output csv")
+        return text
     if isinstance(obj, str):
         return json.dumps(obj)
     pad = "  " * (indent + 1)

@@ -6,8 +6,9 @@ import tracemalloc
 
 import pytest
 
-from epsdelta import MAX_NET_LEVEL, functions
+from epsdelta import MAX_NET_LEVEL, EpsDeltaError, functions
 from epsdelta.cli import run
+from epsdelta.serialize import json_text
 
 
 def invoke(capsys, *argv):
@@ -229,6 +230,57 @@ class TestExitCodes:
             capsys, "delta", "--fn", "chainsaw", "--eps", "0.3", "--closed-form"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("eps", ["5e-324", "1e-300"])
+    def test_tiny_epsilon_closed_form_is_one(self, capsys, eps):
+        # 1/eps overflows at 5e-324, and delta = 1/(n(2n+1)) underflows at both
+        code, out, err = invoke(capsys, "delta", "--fn", "chainsaw", "--eps", eps, "--closed-form")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: sawtooth closed form underflows")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("eps", ["5e-324", "1e-300"])
+    def test_tiny_epsilon_profile_falls_back_to_grid(self, capsys, eps):
+        code, out, _ = invoke(capsys, "delta-profile", "--fn", "chainsaw", "--eps", eps)
+        assert code == 0
+        assert [s["method"] for s in json.loads(out)["samples"]] == ["grid"]
+
+    @pytest.mark.parametrize("eps", [",", "a,b"])
+    def test_bad_epsilon_list_is_two(self, capsys, eps):
+        code, out, err = invoke(capsys, "delta-profile", "--fn", "chainsaw", "--eps", eps)
+        assert code == 2
+        assert out == ""
+        assert "--eps" in err
+
+    def test_nan_delta_is_two(self, capsys):
+        code, out, err = invoke(capsys, "modulus", "--fn", "poly(0,1)", "--delta", "nan")
+        assert code == 2
+        assert out == ""
+        assert err == "error: delta must be nonnegative, got nan\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("modulus", "--fn", "poly(0,1)", "--delta", "inf"),
+            ("verify-delta", "--fn", "poly(0,1)", "--eps", "0.5", "--delta", "inf"),
+            ("maximize", "--fn", "expr(1e308*x,lo=0,hi=1)", "--level", "0"),
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_non_finite_result_is_one_in_json_only(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: JSON cannot hold the value inf; use --output csv\n"
+        code, out, _ = invoke(capsys, *argv, "--output", "csv")
+        assert code == 0
+        assert "inf" in out
+
+    @pytest.mark.parametrize("value", [float("nan"), -float("inf")])
+    def test_json_text_refuses_non_finite(self, value):
+        with pytest.raises(EpsDeltaError, match="--output csv"):
+            json_text({"points": [[0.5, value]]})
 
     def test_function_parse_error_is_two(self, capsys):
         code, _, err = invoke(capsys, "delta", "--fn", "chainsw", "--eps", "0.5")

@@ -73,6 +73,16 @@ class TestClosedForm:
         with pytest.raises(OutOfRange):
             optimal_delta_closed_form(f, 1.2)
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-300, 1e-155])
+    def test_chainsaw_underflow_is_out_of_range(self, eps):
+        with pytest.raises(OutOfRange, match="underflows"):
+            optimal_delta_closed_form(chainsaw_function(), eps)
+
+    def test_chainsaw_smallest_exact_epsilon(self):
+        # 1/(n(2n+1)) stays positive up to about n = 9e153
+        s = optimal_delta_closed_form(chainsaw_function(), 1e-153)
+        assert 0.0 < s.delta <= 1e-306
+
     def test_epsilon_above_spread_is_out_of_range(self):
         with pytest.raises(OutOfRange):
             optimal_delta_closed_form(power_function(2, 1), 1.0)
@@ -249,6 +259,8 @@ class TestModulus:
     def test_validation(self):
         with pytest.raises(ValueError):
             modulus_of_continuity(IDENTITY, -0.1, 100)
+        with pytest.raises(ValueError):
+            modulus_of_continuity(IDENTITY, float("nan"), 100)
         with pytest.raises(ValueError):
             modulus_of_continuity(IDENTITY, 0.1, 1)
 

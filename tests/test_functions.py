@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -592,3 +593,12 @@ def test_all_lists_every_public_import():
     }
     assert len(epsdelta.__all__) == len(set(epsdelta.__all__))
     assert set(epsdelta.__all__) == imported
+
+
+def test_all_is_the_star_import_namespace():
+    assert not [n for n in epsdelta.__all__ if n.startswith("_")]
+    assert not [n for n in epsdelta.__all__ if isinstance(getattr(epsdelta, n), ModuleType)]
+    namespace: dict = {}
+    exec("from epsdelta import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(epsdelta.__all__)

@@ -52,6 +52,8 @@ class TestTargetSet:
     def test_overlap_merges(self):
         d = parse_target_set("(0,2)u(1,3)")
         assert d.pieces == ((0.0, 3.0, True, True),)
+        # an equal upper end is closed when either piece closes it
+        assert parse_target_set("(0,2)u[1,2]").pieces == ((0.0, 2.0, True, False),)
 
     def test_touching_merges_when_closed(self):
         assert len(parse_target_set("(0,1]u(1,2)").pieces) == 1
@@ -69,6 +71,7 @@ class TestTargetSet:
     def test_contains_respects_openness(self):
         assert not parse_target_set("(0,1)").contains(0.0)
         assert parse_target_set("[0,1]").contains(0.0)
+        assert parse_target_set("[0,1]").contains(1.0)
         assert parse_target_set("(0,1)").contains(0.5)
         assert parse_target_set("(-inf,0)").contains(-1e30)
 
@@ -97,6 +100,34 @@ class TestTargetSet:
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_target_set(bad)
+
+    @pytest.mark.parametrize(
+        "text, pieces",
+        [
+            ("( -inf , -0 )", ((-math.inf, -0.0, True, True),)),
+            ("[-1,0]u(0.25,0.5]", ((-1.0, 0.0, False, False), (0.25, 0.5, True, False))),
+            ("(- 1,0)", ((-1.0, 0.0, True, True),)),
+        ],
+    )
+    def test_ends_read_as_spec_numbers(self, text, pieces):
+        # signs are tokens of their own, as in function specs; repr tells -0.0 from 0.0
+        assert repr(parse_target_set(text).pieces) == repr(pieces)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("(INF,0)", 1), ("(0,infinity)", 3), ("(1_0,20)", 2), ("(nan,1)", 1)],
+    )
+    def test_ends_outside_the_number_grammar_rejected(self, text, position):
+        # the only non-numeric end is a lowercase inf, with an optional sign
+        with pytest.raises(ParseError) as info:
+            parse_target_set(text)
+        assert info.value.position == position
+
+    def test_out_of_order_piece(self):
+        with pytest.raises(ParseError) as info:
+            parse_target_set("(1,0)")
+        assert info.value.position == 0
+        assert str(info.value) == "endpoints out of order: '(1,0)' (at position 0)"
 
 
 class TestClassify:
@@ -307,6 +338,11 @@ class TestFixedPoint:
         assert result.endpoint == 0.0
         assert result.trace is None
         assert result.estimate == 0.0
+
+    def test_upper_endpoint_fixed_point(self):
+        result = fixed_point(polynomial_function([0.5, 0.5]), 10)  # (1 + x) / 2
+        assert result.endpoint == 1.0
+        assert result.trace is None
 
     def test_endpoint_tol(self):
         # the endpoint test is exact: f(0) = 0.001 is no fixed point, and
