@@ -23,23 +23,29 @@ from .delta import (
 )
 from .errors import EpsDeltaError, ParseError
 from .extremum import certified_max_bound, envelope, first_maximizer, refine_extrema
-from .functions import _NUMBER, Interval, Polynomial, RealFunction, parse_function
+from .functions import _NUMBER, Interval, Polynomial, RealFunction, _Parser, parse_function
 from .intermediate import bisect_boundary, classical_ivt, fixed_point, parse_target_set
 from .serialize import csv_text, json_text
 
 
-# argparse's own pattern has no exponent, so it would read -1e3 as an option
-_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}$")
+# argparse's own pattern has no exponent and no inf, so it would read
+# -1e3 or -inf as an option
+_NEGATIVE_NUMBER = re.compile(rf"^-(?:{_NUMBER}|inf)$")
 
 
-def _eps_list(text: str) -> list[float]:
+def _real(text: str, many: bool = False) -> float | list[float]:
+    """A number as in function specs or a signed inf; with ``many`` set,
+    a list of one or more of them, comma-separated."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("need at least one epsilon")
-    return values
+        parser = _Parser(text)
+        values = [parser.number(inf=True)]
+        while many and parser.peek()[1] == ",":
+            parser.take()
+            values.append(parser.number(inf=True))
+        parser.end()
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return values if many else values[0]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,28 +60,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--fn", required=True, help="function spec, e.g. 'power(alpha=2,b=1)'")
         p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument("--lo", type=float, default=None, help="domain low end (poly only)")
-        p.add_argument("--hi", type=float, default=None, help="domain high end (poly only)")
+        p.add_argument("--lo", type=_real, default=None, help="domain low end (poly only)")
+        p.add_argument("--hi", type=_real, default=None, help="domain high end (poly only)")
         return p
 
     p = add("delta-profile", "tolerance profile over a batch of epsilons")
-    p.add_argument("--eps", type=_eps_list, required=True, help="comma-separated epsilons")
+    p.add_argument("--eps", type=lambda text: _real(text, many=True), required=True,
+                   help="comma-separated epsilons")
     p.add_argument("--resolution", type=int, default=4096)
     p.add_argument("--refine", type=int, default=2)
 
     p = add("delta", "optimal tolerance for one epsilon")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_real, required=True)
     p.add_argument("--resolution", type=int, default=4096)
     p.add_argument("--refine", type=int, default=2)
     p.add_argument("--closed-form", action="store_true", help="use the exact formula")
 
     p = add("modulus", "largest value gap over pairs at most delta apart")
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_real, required=True)
     p.add_argument("--resolution", type=int, default=4096)
 
     p = add("verify-delta", "check a claimed tolerance for validity and maximality")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--eps", type=_real, required=True)
+    p.add_argument("--delta", type=_real, required=True)
     p.add_argument("--resolution", type=int, default=4096)
 
     p = add("maximize", "dyadic extremum refinement with a certified bound")
@@ -90,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
 
     p = add("ivt", "classical intermediate-value bisection for f(x) = c")
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--c", type=_real, required=True)
     p.add_argument("--steps", type=int, required=True)
 
     p = add("fixpoint", "bracket a fixed point of a self-map")

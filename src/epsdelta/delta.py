@@ -214,7 +214,9 @@ def _grid_search(
     lo, hi = f.domain.lo, f.domain.hi
     width = f.domain.span
     for r in range(1, cfg.refine_rounds + 1):
-        half = width / ZOOM_FACTOR ** r
+        half = width * ZOOM_FACTOR ** -r
+        if half == 0.0:
+            break  # underflowed: no window is narrower
         windows = []
         for center in (bx, by):
             windows.append(

@@ -155,9 +155,7 @@ def piecewise_linear_function(points) -> RealFunction:
 def expression_function(text: str, lo: float, hi: float) -> RealFunction:
     parser = _Parser(text)
     tree, _ = parser.expression()
-    kind, rest, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected {rest!r} after expression", pos)
+    parser.end()
     return RealFunction(Interval(float(lo), float(hi)), Expression(tree))
 
 
@@ -357,7 +355,7 @@ _FAMILIES = "power, chainsaw, poly, pwl, or expr"
 
 
 class _Parser:
-    """Recursive descent over the ``(kind, text, pos)`` tokens of a spec or target set.
+    """Recursive descent over the ``(kind, text, pos)`` tokens of a spec, target set or number.
 
     Expression methods take the nesting level they start at and return
     ``(tree, depth)``; ``deeper`` holds both to ``_MAX_DEPTH``, which
@@ -404,6 +402,10 @@ class _Parser:
         if tok[1] != text:
             self.fail(tok, repr(text))
 
+    def end(self) -> None:
+        if (tok := self.peek())[0] != "end":
+            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
+
     def number(self, inf: bool = False) -> float:
         """A literal with an optional sign; with ``inf`` set, also ``inf``."""
         sign, tok = 1.0, self.take()
@@ -415,7 +417,9 @@ class _Parser:
             self.fail(tok, "a number or a signed inf" if inf else "a number")
         return sign * float(tok[1])
 
-    def keyword(self, name: str) -> float:
+    def keyword(self, name: str, before: str = ",") -> float:
+        """``before``, then ``name=<number>``."""
+        self.expect(before)
         self.expect(name)
         self.expect("=")
         return self.number()
@@ -494,9 +498,7 @@ def parse_function(spec: str) -> RealFunction:
         if family == "chainsaw":
             f = chainsaw_function()
         elif family == "power":
-            parser.expect("(")
-            alpha = parser.keyword("alpha")
-            parser.expect(",")
+            alpha = parser.keyword("alpha", before="(")
             b = parser.keyword("b")
             parser.expect(")")
             f = power_function(alpha, b)
@@ -507,9 +509,7 @@ def parse_function(spec: str) -> RealFunction:
         elif family == "expr":
             parser.expect("(")
             tree, _ = parser.expression()
-            parser.expect(",")
             lo = parser.keyword("lo")
-            parser.expect(",")
             hi = parser.keyword("hi")
             parser.expect(")")
             f = RealFunction(Interval(lo, hi), Expression(tree))
@@ -517,9 +517,7 @@ def parse_function(spec: str) -> RealFunction:
             raise ParseError(f"unknown function family {family!r}", pos, expected=_FAMILIES)
     except ValueError as exc:
         raise ParseError(str(exc), pos) from exc
-    kind, text, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing {text!r}", pos)
+    parser.end()
     return f
 
 

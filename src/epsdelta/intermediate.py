@@ -44,36 +44,29 @@ class TargetSet:
     pieces: tuple[tuple[float, float, bool, bool], ...]
 
     def __post_init__(self) -> None:
-        cleaned = []
+        # each piece becomes a closed span of a line on which every point r
+        # splits into r-, r, r+, keyed (r, -1), (r, 0), (r, 1)
+        spans = []
         for lo, hi, lo_open, hi_open in self.pieces:
             lo, hi = float(lo), float(hi)
             if math.isnan(lo) or math.isnan(hi):
                 raise ValueError("interval endpoints cannot be NaN")
             if lo > hi:
                 raise ValueError(f"interval endpoints out of order: ({lo}, {hi})")
-            if lo == -math.inf:
-                lo_open = True
-            if hi == math.inf:
-                hi_open = True
-            if lo == hi and (lo_open or hi_open or not math.isfinite(lo)):
-                continue  # empty piece
-            cleaned.append((lo, hi, bool(lo_open), bool(hi_open)))
-        cleaned.sort(key=lambda p: (p[0], p[1]))
-        merged: list[tuple[float, float, bool, bool]] = []
-        for piece in cleaned:
-            if merged:
-                lo0, hi0, lo0_open, hi0_open = merged[-1]
-                lo1, hi1, lo1_open, hi1_open = piece
-                touches = lo1 == hi0 and (not hi0_open or not lo1_open)
-                if lo1 < hi0 or touches:
-                    if hi1 > hi0:
-                        hi0, hi0_open = hi1, hi1_open
-                    elif hi1 == hi0:
-                        hi0_open = hi0_open and hi1_open
-                    merged[-1] = (lo0, hi0, lo0_open, hi0_open)
-                    continue
-            merged.append(piece)
-        object.__setattr__(self, "pieces", tuple(merged))
+            left = (lo, 1 if lo_open or lo == -math.inf else 0)
+            right = (hi, -1 if hi_open or hi == math.inf else 0)
+            if left <= right:
+                spans.append((left, right))
+        merged: list[list[tuple[float, int]]] = []
+        for left, right in sorted(spans):
+            # overlapping or touching: left is at most the key just after the last right
+            if merged and left <= (merged[-1][1][0], merged[-1][1][1] + 1):
+                merged[-1][1] = max(merged[-1][1], right)
+            else:
+                merged.append([left, right])
+        object.__setattr__(self, "pieces", tuple(
+            (lo, hi, lo_side == 1, hi_side == -1) for (lo, lo_side), (hi, hi_side) in merged
+        ))
 
     def contains(self, y: float) -> bool:
         for lo, hi, lo_open, hi_open in self.pieces:
@@ -131,10 +124,10 @@ def classify(y: float, target: TargetSet) -> str:
     matter there; an infinite end never counts); otherwise interior when
     strictly inside a piece, exterior when outside all of them.
     """
+    # the pieces are disjoint, so no endpoint lies inside another piece
     for lo, hi, _, _ in target.pieces:
         if (y == lo or y == hi) and math.isfinite(y):
             return BOUNDARY
-    for lo, hi, _, _ in target.pieces:
         if lo < y < hi:
             return INTERIOR
     return EXTERIOR

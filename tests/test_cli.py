@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -246,7 +248,7 @@ class TestExitCodes:
         assert code == 0
         assert [s["method"] for s in json.loads(out)["samples"]] == ["grid"]
 
-    @pytest.mark.parametrize("eps", [",", "a,b"])
+    @pytest.mark.parametrize("eps", [",", "a,b", "0.5,,0.25", "0.5,"])
     def test_bad_epsilon_list_is_two(self, capsys, eps):
         code, out, err = invoke(capsys, "delta-profile", "--fn", "chainsaw", "--eps", eps)
         assert code == 2
@@ -257,7 +259,29 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "modulus", "--fn", "poly(0,1)", "--delta", "nan")
         assert code == 2
         assert out == ""
-        assert err == "error: delta must be nonnegative, got nan\n"
+        assert err.endswith(
+            "error: argument --delta: got 'nan' "
+            "(at position 0, expected a number or a signed inf)\n"
+        )
+
+    @pytest.mark.parametrize("command, eps", [("delta", "0.3"), ("delta-profile", "0.3,0.2")])
+    def test_refine_past_window_underflow_is_zero(self, capsys, command, eps):
+        # the window half-width underflows to 0 within about 270 rounds; the
+        # rounds after that change nothing
+        base = (command, "--fn", "chainsaw", "--eps", eps, "--resolution", "64", "--refine")
+        code, out, err = invoke(capsys, *base, "255")
+        assert code == 0, err
+        for rounds in ("300", "1000000"):
+            assert invoke(capsys, *base, rounds) == (0, out, "")
+
+    @pytest.mark.parametrize("target", ["(0,1)u[0,2]", "[0,2]"])
+    def test_both_ends_inside_target_is_one(self, capsys, target):
+        code, out, err = invoke(
+            capsys, "bisect", "--fn", "poly(0,1)", "--target", target, "--steps", "3"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.endswith("are both inside\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -421,6 +445,55 @@ class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, _, _ = invoke(capsys, "delta", "--fn", "chainsaw", "--eps", "0.5")
         assert code == 0
+
+
+class TestNumberGrammar:
+    """Real-valued options read numbers as function specs do, or a signed inf."""
+
+    @pytest.mark.parametrize(
+        "argv, plain",
+        [
+            (("modulus", "--fn", "poly(0,1)", "--delta", "-inf"),
+             ("modulus", "--fn", "poly(0,1)", "--delta=-inf")),
+            (("delta-profile", "--fn", "chainsaw", "--eps", " 0.5, 0.25", "--resolution", "256"),
+             ("delta-profile", "--fn", "chainsaw", "--eps", "0.5,0.25", "--resolution", "256")),
+        ],
+        ids=["negative-inf", "spaced-list"],
+    )
+    def test_spellings_agree(self, capsys, argv, plain):
+        assert invoke(capsys, *argv) == invoke(capsys, *plain)
+
+    @pytest.mark.parametrize(
+        "option, value, rest",
+        [
+            ("--delta", "infinity", ("modulus", "--fn", "poly(0,1)")),
+            ("--delta", "INF", ("modulus", "--fn", "poly(0,1)")),
+            ("--hi", "1_0", ("ivt", "--fn", "poly(0,1)", "--c", "0.5", "--steps", "2")),
+        ],
+    )
+    def test_outside_the_grammar_is_two(self, capsys, option, value, rest):
+        code, out, err = invoke(capsys, *rest, option, value)
+        assert code == 2
+        assert out == ""
+        assert f"error: argument {option}: " in err
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``epsdelta`` line in README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("epsdelta ")]
+
+
+class TestReadmeExamples:
+    def test_every_command_documented(self):
+        assert {argv[0] for argv in readme_commands()} == {argv[0] for argv in GOOD_COMMANDS}
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda a: a[0])
+    def test_documented_command_succeeds(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, err
+        assert out.endswith("\n")
 
 
 class TestDomainFlags:

@@ -188,6 +188,11 @@ class TestExpression:
         f = expression_function("x**3", 0.0, 1.0)
         assert evaluate(f, 0.5) == 0.125
 
+    def test_trailing_text_rejected_as_in_specs(self):
+        with pytest.raises(ParseError) as info:
+            expression_function("x)", 0.0, 1.0)
+        assert str(info.value) == "unexpected trailing ')' (at position 1)"
+
 
 class TestParseFunction:
     @pytest.mark.parametrize(

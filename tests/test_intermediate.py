@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epsdelta import (
     BOUNDARY,
@@ -32,6 +33,10 @@ from epsdelta import intermediate
 from epsdelta.serialize import csv_text, json_text
 
 
+TARGET_ENDS = st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf])
+TARGET_PROBES = [-math.inf, -2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, math.inf]
+
+
 class TestTargetSet:
     def test_parse_half_line(self):
         d = parse_target_set("(-inf,0)")
@@ -54,6 +59,33 @@ class TestTargetSet:
         assert d.pieces == ((0.0, 3.0, True, True),)
         # an equal upper end is closed when either piece closes it
         assert parse_target_set("(0,2)u[1,2]").pieces == ((0.0, 2.0, True, False),)
+
+    @pytest.mark.parametrize(
+        "text, normal",
+        [("(0,1)u[0,2]", "[0,2]"), ("(-1,2)u[-1,2)", "[-1,2)"), ("[0,0]u(0,1)", "[0,1)")],
+    )
+    def test_shared_lower_end_closed_by_either_piece(self, text, normal):
+        d = parse_target_set(text)
+        assert str(d) == normal
+        assert d == parse_target_set(normal)
+
+    @given(st.lists(st.tuples(TARGET_ENDS, TARGET_ENDS, st.booleans(), st.booleans()),
+                    max_size=5))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_contains_matches_membership_of_any_piece(self, raw):
+        pieces = [(min(a, b), max(a, b), lo_open, hi_open) for a, b, lo_open, hi_open in raw]
+        d = TargetSet(tuple(pieces))
+        for y in TARGET_PROBES:
+            # infinite ends are open
+            inside = any(
+                (lo < y or (y == lo and not lo_open and lo > -math.inf))
+                and (y < hi or (y == hi and not hi_open and hi < math.inf))
+                for lo, hi, lo_open, hi_open in pieces
+            )
+            assert d.contains(y) == inside, (pieces, y)
+        # sorted, disjoint and non-adjacent: only a point open on both sides separates
+        for (_, hi, _, hi_open), (lo, _, lo_open, _) in zip(d.pieces, d.pieces[1:]):
+            assert hi < lo or (hi == lo and hi_open and lo_open)
 
     def test_touching_merges_when_closed(self):
         assert len(parse_target_set("(0,1]u(1,2)").pieces) == 1
