@@ -42,6 +42,10 @@ Inputs are 1-d float64 arrays with ``x`` sorted ascending; repeated
 abscissas are allowed.  ``min_dist_pair`` and ``find_violation`` match
 the pairwise definitions for any ``fx``, ``max_gap_within`` for finite
 ``fx``.
+
+``find_violation`` has no caller in the library: ``verify_largest_delta``
+reads both of its answers off the closest pair of ``min_dist_pair``.  It
+stays because the benchmark's checks and tracer (``perfbench/``) name it.
 """
 
 from __future__ import annotations

@@ -33,19 +33,23 @@ from .serialize import csv_text, json_text
 _NEGATIVE_NUMBER = re.compile(rf"^-(?:{_NUMBER}|inf)$")
 
 
-def _real(text: str, many: bool = False) -> float | list[float]:
-    """A number as in function specs or a signed inf; with ``many`` set,
-    a list of one or more of them, comma-separated."""
+def _real(text: str, many: bool = False, read=lambda parser: parser.number(inf=True)):
+    """A number as in function specs or a signed inf, or what ``read`` takes;
+    with ``many`` set, a list of one or more of them, comma-separated."""
     try:
         parser = _Parser(text)
-        values = [parser.number(inf=True)]
+        values = [read(parser)]
         while many and parser.peek()[1] == ",":
             parser.take()
-            values.append(parser.number(inf=True))
+            values.append(read(parser))
         parser.end()
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return values if many else values[0]
+
+
+def _count(text: str) -> int:
+    return _real(text, read=_Parser.count)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,41 +71,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("delta-profile", "tolerance profile over a batch of epsilons")
     p.add_argument("--eps", type=lambda text: _real(text, many=True), required=True,
                    help="comma-separated epsilons")
-    p.add_argument("--resolution", type=int, default=4096)
-    p.add_argument("--refine", type=int, default=2)
+    p.add_argument("--resolution", type=_count, default=4096)
+    p.add_argument("--refine", type=_count, default=2)
 
     p = add("delta", "optimal tolerance for one epsilon")
     p.add_argument("--eps", type=_real, required=True)
-    p.add_argument("--resolution", type=int, default=4096)
-    p.add_argument("--refine", type=int, default=2)
+    p.add_argument("--resolution", type=_count, default=4096)
+    p.add_argument("--refine", type=_count, default=2)
     p.add_argument("--closed-form", action="store_true", help="use the exact formula")
 
     p = add("modulus", "largest value gap over pairs at most delta apart")
     p.add_argument("--delta", type=_real, required=True)
-    p.add_argument("--resolution", type=int, default=4096)
+    p.add_argument("--resolution", type=_count, default=4096)
 
     p = add("verify-delta", "check a claimed tolerance for validity and maximality")
     p.add_argument("--eps", type=_real, required=True)
     p.add_argument("--delta", type=_real, required=True)
-    p.add_argument("--resolution", type=int, default=4096)
+    p.add_argument("--resolution", type=_count, default=4096)
 
     p = add("maximize", "dyadic extremum refinement with a certified bound")
-    p.add_argument("--level", type=int, required=True, help="deepest net level")
-    p.add_argument("--resolution", type=int, default=4096, help="modulus grid resolution")
+    p.add_argument("--level", type=_count, required=True, help="deepest net level")
+    p.add_argument("--resolution", type=_count, default=4096, help="modulus grid resolution")
 
     p = add("envelope", "running maximum of f along the domain")
-    p.add_argument("--resolution", type=int, default=4096)
+    p.add_argument("--resolution", type=_count, default=4096)
 
     p = add("bisect", "bracket a boundary crossing of a target set")
     p.add_argument("--target", required=True, help="target set, e.g. '(-inf,0)' or '(0,1)u(2,3)'")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
 
     p = add("ivt", "classical intermediate-value bisection for f(x) = c")
     p.add_argument("--c", type=_real, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
 
     p = add("fixpoint", "bracket a fixed point of a self-map")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     return parser
 
 

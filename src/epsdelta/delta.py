@@ -149,7 +149,11 @@ class VerificationReport:
 
     ``valid`` means no grid pair closer than the claim reaches the gap;
     ``maximal`` means some pair within 0.1% above the claim does, so the
-    claim cannot be meaningfully enlarged.  Witnesses are (x, y, fx, fy).
+    claim cannot be meaningfully enlarged.  Both are read off the closest
+    grid pair that reaches the gap (ties to the smallest index pair),
+    which is the witness (x, y, fx, fy): ``violation`` when the claim is
+    not valid, ``threshold_witness`` when it is maximal, the same pair
+    when both are set.
     """
 
     epsilon: float
@@ -358,34 +362,28 @@ def build_profile(
 def verify_largest_delta(
     f: RealFunction, epsilon: float, delta_claimed: float, resolution: int
 ) -> VerificationReport:
-    """Check a claimed tolerance two ways against a sample grid.
+    """Check a claimed tolerance against the closest qualifying grid pair.
 
-    Validity: no grid pair strictly closer than the claim (beyond float
-    noise) may reach the gap.  Maximality: some pair within 0.1% above
-    the claim must reach it, otherwise a larger delta would also have
-    worked.  Both searches report the first witness found.
+    One scan of the anchored sample grid finds the closest pair whose gap
+    reaches epsilon; it attains the grid's optimal delta, and some pair
+    is closer than a bound exactly when it is.  Validity: it is not closer
+    than the claim (beyond float noise).  Maximality: it lies within 0.1%
+    above the claim, otherwise a larger delta would also have worked.
     """
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not (delta_claimed > 0.0):
         raise ValueError(f"delta_claimed must be positive, got {delta_claimed}")
     xs, fx = sample_grid(f, resolution, include_anchors=True)
-    eps_eff = epsilon * (1.0 - GAP_SLACK_REL)
-
-    vi, vj = _kernels.find_violation(xs, fx, eps_eff, delta_claimed * (1.0 - VALIDITY_MARGIN_REL))
-    mi, mj = _kernels.find_violation(xs, fx, eps_eff, delta_claimed * (1.0 + MAXIMALITY_MARGIN_REL))
-
-    violation = None
-    if vi >= 0:
-        violation = (float(xs[vi]), float(xs[vj]), float(fx[vi]), float(fx[vj]))
-    witness = None
-    if mi >= 0:
-        witness = (float(xs[mi]), float(xs[mj]), float(fx[mi]), float(fx[mj]))
+    dist, i, j = _kernels.min_dist_pair(xs, fx, epsilon * (1.0 - GAP_SLACK_REL))
+    valid = not dist < delta_claimed * (1.0 - VALIDITY_MARGIN_REL)
+    maximal = dist < delta_claimed * (1.0 + MAXIMALITY_MARGIN_REL)
+    witness = None if i < 0 else (float(xs[i]), float(xs[j]), float(fx[i]), float(fx[j]))
     return VerificationReport(
         epsilon=float(epsilon),
         delta_claimed=float(delta_claimed),
-        valid=vi < 0,
-        maximal=mi >= 0,
-        violation=violation,
-        threshold_witness=witness,
+        valid=valid,
+        maximal=maximal,
+        violation=None if valid else witness,
+        threshold_witness=witness if maximal else None,
     )

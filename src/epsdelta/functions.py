@@ -339,7 +339,7 @@ def canonical_text(f: RealFunction) -> str:
 # ---------------------------------------------------------------------------
 
 # an unsigned numeric literal; a sign is a token of its own
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<num>{_NUMBER})"
@@ -416,6 +416,12 @@ class _Parser:
         if tok[0] != "num":
             self.fail(tok, "a number or a signed inf" if inf else "a number")
         return sign * float(tok[1])
+
+    def count(self) -> int:
+        """A whole number in digits only: no sign, point or exponent."""
+        if (tok := self.take())[0] != "num" or not tok[1].isdigit():
+            self.fail(tok, "a whole number")
+        return int(tok[1])
 
     def keyword(self, name: str, before: str = ",") -> float:
         """``before``, then ``name=<number>``."""

@@ -448,7 +448,8 @@ class TestExitCodes:
 
 
 class TestNumberGrammar:
-    """Real-valued options read numbers as function specs do, or a signed inf."""
+    """Real-valued options read numbers as function specs do, or a signed inf;
+    counts are plain ASCII digits."""
 
     @pytest.mark.parametrize(
         "argv, plain",
@@ -457,8 +458,10 @@ class TestNumberGrammar:
              ("modulus", "--fn", "poly(0,1)", "--delta=-inf")),
             (("delta-profile", "--fn", "chainsaw", "--eps", " 0.5, 0.25", "--resolution", "256"),
              ("delta-profile", "--fn", "chainsaw", "--eps", "0.5,0.25", "--resolution", "256")),
+            (("envelope", "--fn", "poly(0,1)", "--resolution", " 17 "),
+             ("envelope", "--fn", "poly(0,1)", "--resolution", "17")),
         ],
-        ids=["negative-inf", "spaced-list"],
+        ids=["negative-inf", "spaced-list", "spaced-count"],
     )
     def test_spellings_agree(self, capsys, argv, plain):
         assert invoke(capsys, *argv) == invoke(capsys, *plain)
@@ -469,6 +472,13 @@ class TestNumberGrammar:
             ("--delta", "infinity", ("modulus", "--fn", "poly(0,1)")),
             ("--delta", "INF", ("modulus", "--fn", "poly(0,1)")),
             ("--hi", "1_0", ("ivt", "--fn", "poly(0,1)", "--c", "0.5", "--steps", "2")),
+            ("--delta", "\u0660.\u0665", ("modulus", "--fn", "poly(0,1)")),  # Arabic-Indic 0.5
+            ("--resolution", " 1_7 ", ("envelope", "--fn", "poly(0,1)")),
+            ("--resolution", "+4", ("envelope", "--fn", "poly(0,1)")),
+            ("--resolution", "\uff13", ("envelope", "--fn", "poly(0,1)")),  # full-width 3
+            ("--refine", "1e3", ("delta", "--fn", "chainsaw", "--eps", "0.5")),
+            ("--level", "3.", ("maximize", "--fn", "poly(0,1,-1)")),
+            ("--steps", "-1", ("ivt", "--fn", "poly(-1,1)", "--c", "0")),
         ],
     )
     def test_outside_the_grammar_is_two(self, capsys, option, value, rest):
@@ -476,6 +486,20 @@ class TestNumberGrammar:
         assert code == 2
         assert out == ""
         assert f"error: argument {option}: " in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("delta", "--fn", "poly(\u0661,\u0662)", "--eps", "0.5"),
+            ("bisect", "--fn", "poly(0,1)", "--target", "(-inf,\u0660)", "--steps", "3"),
+        ],
+        ids=["spec", "target"],
+    )
+    def test_non_ascii_digits_are_two(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unrecognized character ")
 
 
 def readme_commands() -> list[list[str]]:

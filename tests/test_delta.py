@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epsdelta import functions
 from epsdelta import (
@@ -34,6 +35,7 @@ from epsdelta import (
     sample_grid,
     verify_largest_delta,
 )
+from epsdelta.delta import GAP_SLACK_REL, MAXIMALITY_MARGIN_REL, VALIDITY_MARGIN_REL
 from epsdelta.serialize import csv_text, json_text
 
 IDENTITY = piecewise_linear_function([(0.0, 0.0), (1.0, 1.0)])
@@ -375,6 +377,70 @@ class TestVerifyLargestDelta:
         for resolution in (1, 0):
             with pytest.raises(ValueError):
                 verify_largest_delta(sq, 0.5, 0.9, resolution)
+
+    def test_witness_attains_the_grid_delta(self):
+        # the first violating pair of x^2 is 0.4999 apart; the closest
+        # qualifying pair attains the grid delta, near 1 - sqrt(0.5)
+        sq = power_function(2.0, 1.0)
+        report = verify_largest_delta(sq, 0.5, 0.5, 4096)
+        assert not report.valid and report.maximal
+        assert report.violation == report.threshold_witness
+        x, y, _, _ = report.violation
+        assert y - x == optimal_delta_grid(sq, 0.5, GridConfig(4096, refine_rounds=0)).delta
+        assert abs((y - x) - (1.0 - 0.5 ** 0.5)) < 2e-4
+
+
+VERIFY_SPECS = (
+    "chainsaw",
+    "power(alpha=2,b=1)",
+    "power(alpha=0.5,b=2)",
+    "poly(0,1,-1)",
+    "expr(sin(40*x),lo=0,hi=1)",
+    "pwl((0,0),(0.5,1),(1,0))",
+    "pwl((0,0),(0.3001,0),(0.30015,1),(0.3002,0),(1,0))",
+)
+
+
+class TestVerifyAgainstPairwise:
+    """`verify_largest_delta` against an O(n^2) scan of the same grid."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        spec=st.sampled_from(VERIFY_SPECS),
+        resolution=st.integers(2, 80),
+        eps_frac=st.floats(0.001, 1.2),
+        claim_kind=st.sampled_from(("scale", "random", "inf")),
+        scale=st.sampled_from((0.5, 1.0 - 1e-9, 1.0 - 2e-9, 1.0, 1.0005, 1.001, 1.002, 2.0)),
+        claim=st.floats(1e-6, 2.0),
+    )
+    def test_matches_pairwise_oracle(self, spec, resolution, eps_frac, claim_kind, scale, claim):
+        f = parse_function(spec)
+        xs, fx = sample_grid(f, resolution, include_anchors=True)
+        eps = eps_frac * float(fx.max() - fx.min())
+        dx = xs[None, :] - xs[:, None]
+        qual = np.triu(np.abs(fx[None, :] - fx[:, None]) >= eps * (1.0 - GAP_SLACK_REL), k=1)
+        dist = np.where(qual, dx, np.inf)
+        k = int(np.argmin(dist))  # row-major: ties go to the smallest (i, j)
+        i, j = divmod(k, xs.size)
+        closest = float(dist[i, j])
+        if claim_kind == "inf":
+            claim = np.inf
+        elif claim_kind == "scale" and closest < np.inf:
+            claim = closest * scale
+
+        report = verify_largest_delta(f, eps, claim, resolution)
+        assert report.valid == (not (qual & (dx < claim * (1.0 - VALIDITY_MARGIN_REL))).any())
+        assert report.maximal == bool((qual & (dx < claim * (1.0 + MAXIMALITY_MARGIN_REL))).any())
+        if not qual.any():
+            assert report.violation is None and report.threshold_witness is None
+            with pytest.raises(EmptyLevelSet):
+                optimal_delta_grid(f, eps, GridConfig(resolution, refine_rounds=0))
+            return
+        witness = (float(xs[i]), float(xs[j]), float(fx[i]), float(fx[j]))
+        assert report.violation == (None if report.valid else witness)
+        assert report.threshold_witness == (witness if report.maximal else None)
+        grid = optimal_delta_grid(f, eps, GridConfig(resolution, refine_rounds=0))
+        assert witness[1] - witness[0] == closest == grid.delta
 
 
 def _no_evaluation(f, xs):
