@@ -9,20 +9,25 @@ Each pair scan runs in two stages.
    consecutive points hold values eps apart, ``min_dist_pair`` goes on
    to offset 64, because an answer that close costs less to reach this
    way than by lifting.
-2. If that does not settle the answer, the lifting stage finds for
-   every row i its first hit past its own block: the first j with
-   ``|fx[j] - fx[i]| >= eps``, or the end of the window
-   ``x[j] - x[i] <= delta``.  It queries range maxima and minima of
-   ``fx`` from a sparse table over blocks of 16 points (the block
+2. If that does not settle the answer, the lifting stage walks every
+   row i over the blocks of 16 points past its own, by binary lifting
+   on a sparse table of block maxima and minima of ``fx`` (the block
    decomposition of Bender & Farach-Colton, "The LCA Problem
-   Revisited", LATIN 2000) by binary lifting, one level for all rows of
-   a chunk at a time.  The best gap so far, or the distance bound,
-   rules out rows whose next block starts too far away.
+   Revisited", LATIN 2000), one level for all rows of a chunk at a
+   time.  From the top level down, a row steps over 2^k blocks when
+   they hold no hit ``|fx[j] - fx[i]| >= eps`` (``min_dist_pair``,
+   ``find_violation``), or when they lie inside its window
+   ``x[j] - x[i] <= delta`` (``max_gap_within``, which folds their
+   extremes in).  The block where it stops is read point by point, for
+   the first hit or up to the window end.  In the hit walks, the best
+   gap so far, or the distance bound, rules out rows whose next block
+   starts too far away.
 
 The lifting stage takes O(n log n) time.  Its tables hold a blocked copy
-of ``fx`` and ``2 (log2(n / 16) + 1)`` floats per block, about 25 bytes
-per point at 2^20 points, and rows go through it in chunks of 4096, so a
-scan needs well under 128 bytes per point beyond its inputs.
+of ``fx`` and ``2 (log2(n / 16) + 1)`` floats per block (two more for the
+block ends of ``max_gap_within``), about 25 bytes per point at 2^20
+points, and rows go through it in chunks of 4096, so a scan needs well
+under 128 bytes per point beyond its inputs.
 
 Two rounding facts make both stages give bit-identical results:
 
@@ -31,8 +36,9 @@ Two rounding facts make both stages give bit-identical results:
   range's maximum (and likewise ``fx[i] - min``).  The range tables use
   ``fmax``/``fmin``, which skip NaN as the pairwise test does;
 - ``x[j] - x[i]`` is nondecreasing in j for sorted x, so a row's first
-  hit is also its closest, and window ends are found by bisecting on
-  that rounded difference (``x[i] + delta`` rounds differently).
+  hit is also its closest, and a run of blocks lies inside a window
+  exactly when its last point does (``x[i] + delta`` rounds
+  differently).
 
 Every hit test is written as ``>=``, so a NaN eps or delta hits nothing.
 All scans are serial and deterministic; ties between point pairs are
@@ -146,43 +152,31 @@ def max_gap_within(x: np.ndarray, fx: np.ndarray, delta: float) -> float:
         return best
 
     blocks, tmax, tmin = _block_tables(fx)
-    for rows in _row_chunks(n, n - _STAGE - 1):
-        # rows whose window ends within the direct stage are settled
-        rows = rows[x[rows + _STAGE + 1] - x[rows] <= delta]
-        if not rows.size:
-            continue
-        # window end: the last j with x[j] - x[i] <= delta, by bisection
-        lo = rows + _STAGE + 1
-        hi = np.full(rows.size, n)
-        for _ in range(n.bit_length()):
-            mid = (lo + hi) // 2
-            inside = x[mid] - x[rows] <= delta
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
+    nb = tmax.shape[1]
+    # the last abscissa of each block but the final one, where the walk
+    # ends at the latest, padded with NaN, which fits no window
+    ends = np.full(2 * nb, np.nan)
+    ends[:nb - 1] = x[_BLOCK - 1:(nb - 1) * _BLOCK:_BLOCK]
+    for rows in _row_chunks(n, n - 1):
+        xi = x[rows]
         f = fx[rows]
-        # the window past the direct stage: full blocks from the row's
-        # first block up to the block holding the window end, then the
-        # head of that block up to the window end, whose first point
-        # stands in for the points past it
-        first = rows // _BLOCK + 1
-        last = lo // _BLOCK
-        vals = blocks[last]
-        past = np.arange(_BLOCK) > (lo - last * _BLOCK)[:, None]
-        np.copyto(vals, vals[:, :1], where=past)
-        top = vals.max(axis=1)
-        bot = vals.min(axis=1)
-        count = last - first
-        full = np.flatnonzero(count > 0)
-        if full.size:
-            c = count[full]
-            k = np.frexp(c)[1] - 1  # floor(log2(c)), exact for integers
-            b0 = first[full]
-            b1 = b0 + c - (1 << k)
-            top[full] = np.fmax(top[full], np.fmax(tmax[k, b0], tmax[k, b1]))
-            bot[full] = np.fmin(bot[full], np.fmin(tmin[k, b0], tmin[k, b1]))
-        g = float(np.maximum(top - f, f - bot).max())
-        if g > best:
-            best = g
+        top = f.copy()
+        bot = f.copy()
+        q = rows // _BLOCK + 1
+        # binary lifting: each row steps over blocks inside its window
+        for k in range(tmax.shape[0] - 1, -1, -1):
+            step = ends.take(q + ((1 << k) - 1)) - xi <= delta
+            np.fmax(top, tmax[k].take(q), out=top, where=step)
+            np.fmin(bot, tmin[k].take(q), out=bot, where=step)
+            np.add(q, 1 << k, out=q, where=step)
+        # then the head of block q up to the window end
+        cols = q[:, None] * _BLOCK + np.arange(_BLOCK)
+        inside = x.take(cols, mode="clip") - xi[:, None] <= delta
+        gap = blocks[q]
+        gap -= f[:, None]
+        np.abs(gap, out=gap)
+        best = max(best, float(np.maximum(top - f, f - bot).max()),
+                   float(gap.max(initial=0.0, where=inside)))
     return best
 
 

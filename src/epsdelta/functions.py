@@ -341,10 +341,12 @@ def canonical_text(f: RealFunction) -> str:
 # an unsigned numeric literal; a sign is a token of its own
 _NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
+# re.ASCII: whitespace, like every other character of the grammars, is ASCII
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<num>{_NUMBER})"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[()\[\]+\-*/^,=]))"
+    r"|(?P<op>\*\*|[()\[\]+\-*/^,=]))",
+    re.ASCII,
 )
 
 # levels an expression may nest: each parenthesis, function, sign, power
@@ -371,7 +373,7 @@ class _Parser:
             kind = m.lastgroup or "op"
             self.toks.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
-        rest = source[pos:].lstrip()
+        rest = source[pos:].lstrip(" \t\n\r\f\v")
         if rest:
             raise ParseError(f"unrecognized character {rest[0]!r}", len(source) - len(rest))
         self.toks.append(("end", "", len(source)))

@@ -479,6 +479,7 @@ class TestNumberGrammar:
             ("--refine", "1e3", ("delta", "--fn", "chainsaw", "--eps", "0.5")),
             ("--level", "3.", ("maximize", "--fn", "poly(0,1,-1)")),
             ("--steps", "-1", ("ivt", "--fn", "poly(-1,1)", "--c", "0")),
+            ("--resolution", "\u00a03", ("envelope", "--fn", "poly(0,1)", "--output", "csv")),  # no-break space
         ],
     )
     def test_outside_the_grammar_is_two(self, capsys, option, value, rest):
@@ -492,8 +493,9 @@ class TestNumberGrammar:
         [
             ("delta", "--fn", "poly(\u0661,\u0662)", "--eps", "0.5"),
             ("bisect", "--fn", "poly(0,1)", "--target", "(-inf,\u0660)", "--steps", "3"),
+            ("delta", "--fn", "poly(0,\u30001)", "--eps", "0.5", "--resolution", "64"),  # ideographic space
         ],
-        ids=["spec", "target"],
+        ids=["spec", "target", "spec-space"],
     )
     def test_non_ascii_digits_are_two(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epsdelta import _kernels, parse_function, sample_grid
 
@@ -225,6 +225,19 @@ quarters = st.integers(min_value=-1, max_value=10).map(lambda k: k * 0.25)
 tie_heavy = settings(max_examples=30, deadline=None, derandomize=True)
 
 
+def ramp(n, repeats=()):
+    """Quarter-step abscissas with ``x[b] == x[b - 1]`` for each b in
+    ``repeats``, and values rising by one a point, so that the largest gap
+    in a window names the window's last point."""
+    k = np.arange(n)
+    return (k - np.searchsorted(repeats, k, side="right")) * 0.25, k * 1.0
+
+
+# a far pair's exact distance, and one ulp either side of it
+PAIR = sample_inputs(9, 100)
+PAIR_DIST = float(PAIR[0][60] - PAIR[0][5])
+
+
 class TestLiftingStage:
     @given(tie_heavy_inputs(), quarters)
     @tie_heavy
@@ -233,6 +246,18 @@ class TestLiftingStage:
         assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
 
     @given(tie_heavy_inputs(), quarters)
+    @example(ramp(17), math.inf)
+    @example(ramp(31), math.inf)
+    @example(ramp(32), math.inf)
+    @example(ramp(33), math.inf)
+    @example(ramp(64), 31 * 0.25)  # row 0's window ends on block 1's last point
+    @example(ramp(64), 47 * 0.25)  # and on block 2's
+    @example(ramp(60), 50 * 0.25)  # windows end inside the padded final block
+    @example(ramp(60), 58 * 0.25)
+    @example(ramp(64, repeats=[16, 32, 48]), 30 * 0.25)  # x[16k - 1] == x[16k]
+    @example(PAIR, PAIR_DIST)
+    @example(PAIR, float(np.nextafter(PAIR_DIST, -np.inf)))
+    @example(PAIR, float(np.nextafter(PAIR_DIST, np.inf)))
     @tie_heavy
     def test_max_gap_within_tie_heavy(self, inputs, delta):
         x, fx = inputs
@@ -392,6 +417,12 @@ class TestLargeGrids:
     def test_max_gap_within(self, spec):
         x, fx = _grid(spec)
         for delta in (0.01, 0.16, 0.7):
+            assert _kernels.max_gap_within(x, fx, delta) == blocked_max_gap_within(x, fx, delta)
+
+    def test_max_gap_within_one_point_final_block(self):
+        # 2^12 + 1 points leave one point and 15 pads in the final block
+        x, fx = sample_inputs(10, 2 ** 12 + 1)
+        for delta in (0.5, math.inf):
             assert _kernels.max_gap_within(x, fx, delta) == blocked_max_gap_within(x, fx, delta)
 
     @pytest.mark.parametrize("spec", GRIDS)
