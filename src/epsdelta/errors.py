@@ -56,5 +56,6 @@ class NotSelfMap(EpsDeltaError):
 
 
 class LevelTooLarge(EpsDeltaError):
-    """A dyadic net level or a grid resolution would exceed the supported
-    point budget of 2^MAX_NET_LEVEL + 1 points."""
+    """An input would exceed a supported point budget: 2^MAX_NET_LEVEL + 1
+    points for a dyadic net level or a grid resolution, MAX_METRIC_POINTS
+    for a distance matrix checked for the triangle inequality."""

@@ -23,7 +23,7 @@ chained operator; a deeper one is a ParseError (CLI exit code 2).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from math import inf as _INF, pi as _PI
 
 import numpy as np
@@ -39,6 +39,11 @@ CHAINSAW_ANCHOR_TEETH: int = 64
 
 # point budget of every sampled grid: 2^24 + 1 points, the finest dyadic net
 MAX_NET_LEVEL: int = 24
+
+# point budget of a distance matrix checked for the triangle inequality:
+# the O(n^3) check takes about 0.35 s at 512 points and 2.4-3.3 s at 1000
+# on a 2-vCPU x86-64 machine
+MAX_METRIC_POINTS: int = 512
 
 
 @dataclass(frozen=True)
@@ -180,14 +185,33 @@ _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "abs": np.abs}
 _BINARY = {_OPERATORS[n][0]: (n, _OPERATORS[n][1]) for n in ("add", "sub", "mul", "div")}
 
 
-def _eval_node(node: tuple, x: np.ndarray) -> np.ndarray:
+def _eval_node(node: tuple, x: np.ndarray) -> np.ndarray | np.float64:
+    """Value of an expression tree at the points ``x``.
+
+    A subtree with neither ``x`` nor ``pow`` stays a float64 scalar;
+    every other node returns an array of ``x``'s shape.  Each ufunc but
+    ``pow`` writes into a temporary that one of its operands owns (any
+    array but ``x``), so only a node whose operands are ``x`` or
+    scalars allocates, and ``x`` is never written.  ``pow`` takes both
+    operands as full arrays and writes a fresh one: numpy's ``power``
+    takes other loops for an exponent it sees as one scalar (2, 0.5, -1
+    and others), and those differ in the last ulp from the elementwise
+    loop.  A scalar operand is seen so, and so is a one-point operand
+    written in place.
+    """
     op = node[0]
     if op == "const":
-        return np.full(x.shape, node[1])
+        return np.float64(node[1])
     if op == "x":
         return x
+    args = [_eval_node(arg, x) for arg in node[1:]]
+    if op == "pow":
+        return np.power(*[a if isinstance(a, np.ndarray) else np.full(x.shape, a) for a in args])
     ufunc = _FUNCTIONS[op] if op in _FUNCTIONS else _OPERATORS[op][2]
-    return ufunc(*[_eval_node(arg, x) for arg in node[1:]])
+    for a in args:
+        if isinstance(a, np.ndarray) and a is not x:
+            return ufunc(*args, out=a)
+    return ufunc(*args)
 
 
 def evaluate_many(f: RealFunction, xs) -> np.ndarray:
@@ -219,15 +243,25 @@ def evaluate_many(f: RealFunction, xs) -> np.ndarray:
         elif isinstance(rule, Chainsaw):
             vals = _kernels.chainsaw_values(xc)
         elif isinstance(rule, Polynomial):
-            vals = np.polynomial.polynomial.polyval(xc, np.asarray(rule.coefficients))
+            # Horner in place, with polyval's arithmetic and signed zeros:
+            # c[-1] + x*0, then c[-i] + acc*x
+            c = rule.coefficients
+            vals = xc * 0.0
+            np.add(c[-1], vals, out=vals)
+            for ci in c[-2::-1]:
+                np.multiply(vals, xc, out=vals)
+                np.add(ci, vals, out=vals)
         elif isinstance(rule, PiecewiseLinear):
             px = np.array([p[0] for p in rule.points])
             py = np.array([p[1] for p in rule.points])
             vals = np.interp(xc, px, py)
         elif isinstance(rule, Expression):
-            vals = np.asarray(_eval_node(rule.tree, xc), dtype=np.float64)
-            # a bare ``x`` returns its argument: never hand back the caller's array
-            if vals is xs:
+            vals = _eval_node(rule.tree, xc)
+            if not isinstance(vals, np.ndarray):
+                # a tree with neither x nor pow: one scalar, broadcast once
+                vals = np.full(xc.shape, vals)
+            elif vals is xs:
+                # a bare ``x`` returns its argument: never hand back the caller's array
                 vals = vals.copy()
         else:
             raise TypeError(f"unknown rule type {type(rule).__name__}")
@@ -534,19 +568,38 @@ def parse_function(spec: str) -> RealFunction:
 # ---------------------------------------------------------------------------
 
 
+def _triangle_violated(d: np.ndarray) -> bool:
+    """Whether some d[i, k] > d[i, j] + d[j, k] + slack, in O(n^3) time.
+
+    The slack, 32 eps max(d, 1) for the float64 eps, absorbs rounding:
+    a line metric fl(|x_i - x_j|) misses the inequality by at most
+    about 3 eps max d (each distance is off by a relative eps/2, the sum
+    by one more), and adding the slack rounds by under eps max d more.
+    """
+    slack = 32.0 * np.finfo(np.float64).eps * max(float(d.max()), 1.0)
+    # one middle point j at a time keeps memory at O(n^2)
+    return any((d > (d[:, j, None] + d[None, j, :]) + slack).any() for j in range(len(d)))
+
+
 @dataclass
 class FiniteMetricSpace:
     """A nonempty finite point set with a metric and a real value per point.
 
-    Distances must form a genuine metric: zero diagonal, symmetric, and
-    triangle inequality up to a small float-rounding slack.
+    Distances must be finite, zero on the diagonal, symmetric and
+    nonnegative.  A matrix passed in is also checked for the triangle
+    inequality, up to a small float-rounding slack; that check takes
+    O(n^3) time, so past ``MAX_METRIC_POINTS`` points it raises
+    LevelTooLarge instead.  :meth:`from_line_points` skips it: |x_i - x_j|
+    is a metric by construction, and its rounding stays inside the slack.
     """
 
     labels: tuple[str, ...]
     dist: np.ndarray
     values: np.ndarray
+    _: KW_ONLY
+    _line_metric: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _line_metric: bool) -> None:
         self.labels = tuple(str(s) for s in self.labels)
         self.dist = np.asarray(self.dist, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -565,14 +618,14 @@ class FiniteMetricSpace:
             raise ValueError("dist must be symmetric")
         if (self.dist < 0.0).any():
             raise ValueError("distances must be nonnegative")
-        # slack absorbs rounding when distances come from coordinate differences
-        slack = 32.0 * np.finfo(np.float64).eps * max(float(self.dist.max()), 1.0)
-        d = self.dist
-        # one middle point j at a time keeps memory at O(n^2):
-        # d[i, k] > d[i, j] + d[j, k] + slack for some (i, k)
-        for j in range(n):
-            if (d > (d[:, j, None] + d[None, j, :]) + slack).any():
-                raise ValueError("triangle inequality violated")
+        if _line_metric:
+            return
+        if n > MAX_METRIC_POINTS:
+            raise LevelTooLarge(
+                f"{n} points exceed the maximum {MAX_METRIC_POINTS} of a checked distance matrix"
+            )
+        if _triangle_violated(self.dist):
+            raise ValueError("triangle inequality violated")
 
     @property
     def size(self) -> int:
@@ -580,7 +633,8 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_line_points(cls, xs, values=None, labels=None) -> "FiniteMetricSpace":
-        """Build the induced metric |x_i - x_j| from points on the line."""
+        """Build the induced metric |x_i - x_j| from points on the line,
+        without the triangle check that every such matrix passes."""
         xs = np.asarray(xs, dtype=np.float64)
         if values is None:
             values = xs.copy()
@@ -588,4 +642,4 @@ class FiniteMetricSpace:
             labels = tuple(f"p{i}" for i in range(xs.size))
         dist = np.abs(xs[:, None] - xs[None, :])
         np.fill_diagonal(dist, 0.0)
-        return cls(tuple(labels), dist, np.asarray(values, dtype=np.float64))
+        return cls(tuple(labels), dist, np.asarray(values, dtype=np.float64), _line_metric=True)

@@ -6,7 +6,7 @@ from types import ModuleType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import epsdelta
 from epsdelta import (
@@ -15,6 +15,7 @@ from epsdelta import (
     Expression,
     FiniteMetricSpace,
     Interval,
+    LevelTooLarge,
     ParseError,
     PiecewiseLinear,
     Polynomial,
@@ -34,7 +35,8 @@ from epsdelta import (
     refine_extrema,
     sample_grid,
 )
-from epsdelta.functions import DOMAIN_TOL_REL
+from epsdelta import functions
+from epsdelta.functions import DOMAIN_TOL_REL, MAX_METRIC_POINTS, _triangle_violated
 
 
 class TestInterval:
@@ -446,6 +448,132 @@ class TestEvaluateMany:
         assert vals.dtype == np.float64
 
 
+# The expression evaluator as it was before evaluation in place: every
+# constant a full array, every node a fresh array.
+_ORACLE_UFUNCS = {
+    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
+    "neg": np.negative, "pow": np.power, "sin": np.sin, "cos": np.cos, "abs": np.abs,
+}
+
+
+def _oracle_eval_node(node, x):
+    op = node[0]
+    if op == "const":
+        return np.full(x.shape, node[1])
+    if op == "x":
+        return x
+    return _ORACLE_UFUNCS[op](*[_oracle_eval_node(arg, x) for arg in node[1:]])
+
+
+# every point lies in [-2, 3]; lengths 1, 43 and 1000 meet SIMD loops'
+# bodies and tails; -0.0 and 0.0 both appear
+_BIT_DOMAIN = Interval(-2.0, 3.0)
+_BIT_XS = (
+    np.array([1.7]),
+    np.concatenate(([-0.0, 0.0], np.linspace(-2.0, 3.0, 41))),
+    np.linspace(0.125, 3.0, 1000),
+)
+_BIT_CONSTS = (0.0, -0.0, 0.5, 2.0, 3.0, -1.0, 1.5, -2.5, np.pi, 1e-300, 1e300)
+
+
+def _const(c):
+    return ("const", c)
+
+
+_bit_trees = st.recursive(
+    st.one_of(
+        st.just(("x",)),
+        st.sampled_from(_BIT_CONSTS).map(_const),
+        st.floats(-100.0, 100.0).map(_const),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["sin", "cos", "abs", "neg"]), kids),
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div", "pow"]), kids, kids),
+        st.tuples(st.just("pow"), kids, st.sampled_from([0.5, 2.0, 3.0, -1.0]).map(_const)),
+    ),
+    max_leaves=10,
+)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+def _assert_same_evaluation(f, xs, want):
+    """evaluate_many(f, xs) has the bits of ``want``, or the DomainError
+    that a non-finite value of ``want`` names; ``xs`` stays as it was."""
+    before = _bits(xs)
+    finite = np.isfinite(want)
+    if finite.all():
+        assert _bits(evaluate_many(f, xs)) == _bits(want)
+    else:
+        with pytest.raises(DomainError) as info:
+            evaluate_many(f, xs)
+        assert str(info.value) == f"f is non-finite at x={float(xs[np.argmax(~finite)])!r}"
+    assert _bits(xs) == before
+
+
+class TestEvaluationBits:
+    """Evaluation in place gives the bits of the evaluation it replaced."""
+
+    @staticmethod
+    def check_tree(tree):
+        f = RealFunction(_BIT_DOMAIN, Expression(tree))
+        for xs in _BIT_XS:
+            with np.errstate(all="ignore"):
+                want = np.asarray(_oracle_eval_node(tree, xs), dtype=np.float64)
+            _assert_same_evaluation(f, xs.copy(), want)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x^0.5", "x^2", "x^3", "x^-1", "x^(-1)", "2^x", "0.5^x", "(-0)^x", "0^x", "pi^(x*2)",
+         "(x+1)^0.5", "(x*x)^2", "sin(x)^3", "2^3", "(-1)^0.5", "2^0.5", "0^-1", "x^x",
+         "sin(2)", "cos(-0)", "abs(-0)", "-0", "0", "-(0)", "sin(pi)+cos(1)*2", "sin(0)*x",
+         "abs(-0)+x*0", "x*-0", "-0/x", "1/x", "x-x", "-x", "abs(x)-cos(x)", "x", "1e300*x*x"],
+    )
+    def test_matches_full_array_evaluation(self, text):
+        self.check_tree(expression_function(text, -2.0, 3.0).rule.tree)
+
+    @given(_bit_trees)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_generated_trees_match(self, tree):
+        self.check_tree(tree)
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308]), st.floats(-1e3, 1e3)),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example([-0.0])
+    @example([0.0, -0.0, -0.0])
+    @example([-0.0, 0.0, -1.0])
+    def test_horner_matches_polyval(self, coefficients):
+        f = polynomial_function(coefficients, _BIT_DOMAIN)
+        for xs in _BIT_XS:
+            with np.errstate(all="ignore"):
+                want = np.polynomial.polynomial.polyval(xs, np.asarray(coefficients))
+            _assert_same_evaluation(f, xs.copy(), want)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["power(alpha=2,b=1)", "chainsaw", "poly(1,-3,1)", "poly(-0)", "pwl((0,0),(0.3,1),(1,0))",
+         "expr(x,lo=0,hi=1)", "expr(2,lo=0,hi=1)", "expr(x^0.5,lo=0,hi=1)",
+         "expr(-x*2+sin(x),lo=0,hi=1)"],
+    )
+    def test_callers_array_unchanged(self, spec):
+        f = parse_function(spec)
+        tol = DOMAIN_TOL_REL * f.domain.span
+        # inside the domain the points are used as given; a hair outside they are clamped
+        for xs in (np.linspace(0.0, 1.0, 33), np.array([-tol / 2, 0.5, 1.0 + tol / 2])):
+            before = _bits(xs)
+            vals = evaluate_many(f, xs)
+            assert _bits(xs) == before
+            assert not np.shares_memory(vals, xs)
+
+
 def range_bounds(f, resolution):
     """(min, max) of f over a uniform sample grid of ``resolution`` points."""
     _, vals = sample_grid(f, resolution)
@@ -568,11 +696,61 @@ class TestFiniteMetricSpace:
             outcomes.append(rejected)
         assert any(outcomes) and not all(outcomes)
 
-    @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=8, unique=True))
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    def test_line_points_always_valid(self, xs):
-        sp = FiniteMetricSpace.from_line_points(sorted(xs))
+    # coordinates of magnitude 1e-300 to 1e300 or zero, mixed signs,
+    # unsorted, drawn from a pool so that points repeat
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.builds(
+                    lambda m, e, neg: (-m if neg else m) * 10.0 ** e,
+                    st.floats(1.0, 9.99),
+                    st.integers(-300, 299),
+                    st.booleans(),
+                ),
+            ),
+            min_size=1,
+            max_size=24,
+        ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example([0.0, 0.1, 0.3, 0.7, 1.0, 0.1])
+    @example([1e300, -1e300, 3e-300, -1e-300, 0.0])
+    def test_line_points_pass_the_triangle_check(self, xs):
+        # from_line_points skips the cubic check: run it here instead
+        sp = FiniteMetricSpace.from_line_points(xs)
         assert sp.size == len(xs)
+        assert not _triangle_violated(sp.dist)
+
+    def test_line_points_skip_only_the_cubic_check(self, monkeypatch):
+        def never(d):
+            raise AssertionError("cubic check ran")
+
+        monkeypatch.setattr(functions, "_triangle_violated", never)
+        n = MAX_METRIC_POINTS + 1
+        assert FiniteMetricSpace.from_line_points(np.arange(n, dtype=np.float64)).size == n
+        with pytest.raises(ValueError, match="must be finite"):
+            FiniteMetricSpace.from_line_points([0.0, 1.0], values=[0.0, np.nan])
+        with pytest.raises(ValueError, match="values must have length 2"):
+            FiniteMetricSpace.from_line_points([0.0, 1.0], values=[0.0])
+
+    def test_matrix_point_budget(self, monkeypatch):
+        checked = []
+
+        def spy(d):
+            checked.append(len(d))
+            return _triangle_violated(d)
+
+        monkeypatch.setattr(functions, "_triangle_violated", spy)
+        xs = np.linspace(0.0, 1.0, MAX_METRIC_POINTS)
+        d = np.abs(xs[:, None] - xs[None, :])
+        assert FiniteMetricSpace(tuple(range(len(xs))), d, xs).size == MAX_METRIC_POINTS
+        assert checked == [MAX_METRIC_POINTS]
+        # one point more fails before the cubic check starts
+        n = MAX_METRIC_POINTS + 1
+        with pytest.raises(LevelTooLarge, match=f"{n} points exceed the maximum {MAX_METRIC_POINTS}"):
+            FiniteMetricSpace(tuple(range(n)), np.zeros((n, n)), np.zeros(n))
+        assert checked == [MAX_METRIC_POINTS]
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
