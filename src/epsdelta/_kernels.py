@@ -1,40 +1,61 @@
 """Hot pair-scan kernels and the sawtooth evaluator, vectorized in numpy.
 
-Each pair scan runs in two stages.
+Each pair scan runs in stages.
 
 1. The direct stage compares all pairs ``(i, i + d)`` at once for the
    offsets d = 1, ..., 16 and stops as soon as the smallest abscissa gap
-   at the current offset rules out every later offset.  Small answers
-   are the common case, and most scans end here.  Where some 64
-   consecutive points hold values eps apart, ``min_dist_pair`` goes on
-   to offset 64, because an answer that close costs less to reach this
-   way than by lifting.
-2. If that does not settle the answer, the lifting stage walks every
-   row i over the blocks of 16 points past its own, by binary lifting
-   on a sparse table of block maxima and minima of ``fx`` (the block
-   decomposition of Bender & Farach-Colton, "The LCA Problem
-   Revisited", LATIN 2000), one level for all rows of a chunk at a
-   time.  From the top level down, a row steps over 2^k blocks when
-   they hold no hit ``|fx[j] - fx[i]| >= eps`` (``min_dist_pair``,
+   at the current offset rules out every later offset.  A pair at
+   offset 16 or less lies in two neighbouring blocks of 16 points, so
+   ``min_dist_pair`` runs this stage only where two such blocks hold
+   values eps apart.  Where some 64 consecutive points do, it goes on to
+   offset 64, because an answer that close costs less to reach this way
+   than by lifting.
+2. ``min_dist_pair`` then reads most rows' first hits off the running
+   extremes of ``fx``.  Take the upward hits ``fx[j] - fx[i] >= eps``;
+   the downward ones are the upward hits of ``-fx``.  Where no point up
+   to row i lies eps above ``fx[i]``, the row's first hit is the first j
+   with ``P[j] - fx[i] >= eps`` for the running maximum P: one
+   ``searchsorted`` of ``fx[i] + eps`` in P, then a bisection on the
+   test itself for the rows where that rounded sum lands off.  Where
+   some point does, the row has no upward hit unless the largest value
+   past it lies eps above, and only then is it left to the lifting
+   stage.  Monotone values leave no row to it, and neither do two
+   disjoint windows that each span less than eps.
+3. The lifting stage walks every row that is left (every row, in the
+   other two scans) over the blocks of 16 points past its own, by
+   binary lifting on a sparse table of block maxima and minima of
+   ``fx`` (the block decomposition of Bender & Farach-Colton, "The LCA
+   Problem Revisited", LATIN 2000), one level for all rows of a chunk
+   at a time.  From the top level down, a row steps over 2^k blocks
+   when they hold no hit ``|fx[j] - fx[i]| >= eps`` (``min_dist_pair``,
    ``find_violation``), or when they lie inside its window
    ``x[j] - x[i] <= delta`` (``max_gap_within``, which folds their
    extremes in).  The block where it stops is read point by point, for
    the first hit or up to the window end.  In the hit walks, the best
    gap so far, or the distance bound, rules out rows whose next block
-   starts too far away.
+   starts too far away.  ``min_dist_pair`` builds the tables only when
+   some row is left.
 
 The lifting stage takes O(n log n) time.  Its tables hold a blocked copy
 of ``fx`` and ``2 (log2(n / 16) + 1)`` floats per block (two more for the
 block ends of ``max_gap_within``), about 25 bytes per point at 2^20
-points, and rows go through it in chunks of 4096, so a scan needs well
-under 128 bytes per point beyond its inputs.
+points, and rows go through it in chunks of 4096.  The running-extreme
+stage holds a few arrays of n floats or indices at a time, so a scan
+needs well under 128 bytes per point beyond its inputs.
 
-Two rounding facts make both stages give bit-identical results:
+Three rounding facts make every stage give bit-identical results:
 
 - rounded subtraction is monotone, so ``fx[j] - fx[i] >= eps`` holds for
   some j in a range exactly when ``max - fx[i] >= eps`` does for the
-  range's maximum (and likewise ``fx[i] - min``).  The range tables use
-  ``fmax``/``fmin``, which skip NaN as the pairwise test does;
+  range's maximum (and likewise ``fx[i] - min``).  For the running
+  maximum, the test thus first holds where the first passing point
+  lies; where no point up to row i passes, that point lies past i.  The
+  range tables use ``fmax``/``fmin``, which skip NaN as the pairwise
+  test does.  A NaN would break the order ``searchsorted`` needs, and
+  ``inf - inf`` the test, so the running-extreme stage runs only on
+  finite ``fx`` and eps, and otherwise every row walks;
+- negation is exact and ``fl(a - b) == -fl(b - a)``, so a downward hit
+  of ``fx`` is exactly an upward hit of ``-fx``;
 - ``x[j] - x[i]`` is nondecreasing in j for sorted x, so a row's first
   hit is also its closest, and a run of blocks lies inside a window
   exactly when its last point does (``x[i] + delta`` rounds
@@ -43,6 +64,8 @@ Two rounding facts make both stages give bit-identical results:
 Every hit test is written as ``>=``, so a NaN eps or delta hits nothing.
 All scans are serial and deterministic; ties between point pairs are
 broken toward the lexicographically smallest index pair ``(i, j)``.
+Each row's first hit is its smallest pair in that order, so it does not
+matter in which stage a row's hit is found.
 
 Inputs are 1-d float64 arrays with ``x`` sorted ascending; repeated
 abscissas are allowed.  ``min_dist_pair`` and ``find_violation`` match
@@ -62,7 +85,7 @@ import numpy as np
 _STAGE = 16
 # points per block of the range tables; the points between a row and the
 # block after its own lie within _BLOCK - 1 <= _STAGE offsets of the row,
-# so the direct stage covers them
+# so the direct stage and its gate cover them
 _BLOCK = 16
 # rows per pass of the lifting stage, which bounds its temporaries
 _CHUNK = 1 << 12
@@ -80,27 +103,97 @@ def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
     fx = np.ascontiguousarray(fx, dtype=np.float64)
     eps = float(eps)
     n = x.size
-    pair, done = _scan_offsets(x, fx, eps, 1, _STAGE, (np.inf, -1, -1))
+    pair = (np.inf, -1, -1)
+    if n < 2:
+        return pair
+    top, bot = _block_extremes(fx)
+    # a pair at offset <= 16 lies in two neighbouring blocks
+    done = n <= _STAGE + 1
+    if _spans(top, bot, 1, eps):
+        pair, done = _scan_offsets(x, fx, eps, 1, _STAGE, pair)
     if done:
         return pair
-
-    tables = _block_tables(fx)
-    _, tmax, tmin = tables
     # an answer within reach of the direct scan costs less to find by it
-    g = min(_NEAR, tmax.shape[0] - 1)
-    m = tmax.shape[1] - (1 << g) + 1
-    if (tmax[g, :m] - tmin[g, :m] >= eps).any():
+    if _spans(top, bot, _NEAR, eps):
         pair, done = _scan_offsets(x, fx, eps, _STAGE + 1, _BLOCK << _NEAR, pair)
         if done:
             return pair
-    for rows in _row_chunks(n, n - 1):
+    walk = None
+    if np.isfinite(eps) and np.isfinite(fx).all():
+        walk = np.zeros(n, dtype=bool)
+        for g in (fx, -fx):  # hits upward, then downward as upward hits of -fx
+            pair = min(pair, _closest(x, *_running_hits(g, eps, walk)))
+        if not walk.any():
+            return pair
+    tables = _block_tables(fx)
+    for rows in _row_chunks(n, n - 1, walk):
         # a hit past the best gap so far cannot win
-        rows, hits = _first_hits(x, fx, tables, rows, eps, pair[0])
-        if rows.size:
-            dist = x[hits] - x[rows]
-            k = int(np.argmin(dist))
-            pair = min(pair, (float(dist[k]), int(rows[k]), int(hits[k])))
+        pair = min(pair, _closest(x, *_first_hits(x, fx, tables, rows, eps, pair[0])))
     return pair
+
+
+def _running_hits(g: np.ndarray, eps: float, walk: np.ndarray):
+    """Rows with a first upward hit ``g[j] - g[i] >= eps``, ``j > i``, that
+    the running maximum of ``g`` decides, and those hits.
+
+    Marks in ``walk`` the rows whose hit it cannot decide: some point up
+    to the row already lies eps above it, and some later one does too.
+    """
+    # on finite values fmax is maximum, and its accumulate runs faster
+    run = np.fmax.accumulate(g)
+    early = run - g >= eps
+    if early.any():
+        # the largest value past each row
+        later = np.fmax.accumulate(g[:0:-1])[::-1]
+        later -= g[:-1]
+        walk[:-1] |= early[:-1] & (later >= eps)
+    rows = np.flatnonzero(~early & (run[-1] - g >= eps))
+    return rows, _first_reaching(run, g[rows], eps)
+
+
+def _first_reaching(run: np.ndarray, f: np.ndarray, eps: float) -> np.ndarray:
+    """First ``j`` with ``run[j] - f >= eps`` for each ``f``, ``run.size``
+    where there is none, for nondecreasing ``run``."""
+    n = run.size
+    with np.errstate(over="ignore"):
+        c = run.searchsorted(f + eps)
+    # f + eps is rounded, so c can miss by the values of run within an ulp
+    # or so of it, and there may be many: bisect those rows on the test
+    k = np.flatnonzero((c < n) & (run.take(c, mode="clip") - f < eps)
+                       | (c > 0) & (run.take(c - 1, mode="clip") - f >= eps))
+    if k.size:
+        f = f[k]
+        lo = np.zeros(k.size, dtype=np.intp)
+        hi = np.full(k.size, n, dtype=np.intp)
+        for _ in range(n.bit_length()):
+            mid = (lo + hi) // 2
+            ok = (mid == hi) | (run.take(mid, mode="clip") - f >= eps)
+            np.copyto(hi, mid, where=ok)
+            np.copyto(lo, mid + 1, where=~ok)
+        c[k] = lo
+    return c
+
+
+def _closest(x: np.ndarray, rows: np.ndarray, hits: np.ndarray):
+    """The closest pair ``(dist, i, j)`` of ascending ``rows`` and their hits."""
+    if not rows.size:
+        return np.inf, -1, -1
+    dist = x[hits] - x[rows]
+    k = int(np.argmin(dist))
+    return float(dist[k]), int(rows[k]), int(hits[k])
+
+
+def _spans(top: np.ndarray, bot: np.ndarray, k: int, eps: float) -> bool:
+    """Whether some ``2^k`` consecutive blocks hold values eps apart, from
+    the blocks' extremes ``top`` and ``bot``; the runs are shorter where
+    there are fewer blocks."""
+    for s in range(k):
+        h = 1 << s
+        if top.size <= h:
+            break
+        top = np.fmax(top[:-h], top[h:])
+        bot = np.fmin(bot[:-h], bot[h:])
+    return bool((top - bot >= eps).any())
 
 
 def _offset_gaps(x: np.ndarray, fx: np.ndarray, first: int, last: int):
@@ -215,11 +308,24 @@ def find_violation(x: np.ndarray, fx: np.ndarray, eps: float, dist_bound: float)
     return bi, bj
 
 
-def _row_chunks(n: int, stop: int):
-    """Row indices ``0 .. stop - 1`` that have a block after their own, in chunks."""
+def _row_chunks(n: int, stop: int, walk: np.ndarray | None = None):
+    """Row indices ``0 .. stop - 1`` that have a block after their own, and
+    are marked in ``walk`` when it is given, in chunks."""
     stop = min(stop, (n - 1) // _BLOCK * _BLOCK)
-    for start in range(0, stop, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, stop))
+    if walk is None:
+        for start in range(0, stop, _CHUNK):
+            yield np.arange(start, min(start + _CHUNK, stop))
+        return
+    rows = np.flatnonzero(walk[:stop])
+    for start in range(0, rows.size, _CHUNK):
+        yield rows[start:start + _CHUNK]
+
+
+def _block_extremes(fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and the smallest value in each block of ``_BLOCK``
+    points, skipping NaN."""
+    starts = np.arange(0, fx.size, _BLOCK)
+    return np.fmax.reduceat(fx, starts), np.fmin.reduceat(fx, starts)
 
 
 def _block_tables(fx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,8 +343,7 @@ def _block_tables(fx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     blocks = blocks.reshape(nb, _BLOCK)
     tmax = np.zeros((nb.bit_length(), nb))
     tmin = np.zeros((nb.bit_length(), nb))
-    np.fmax.reduce(blocks, axis=1, out=tmax[0])
-    np.fmin.reduce(blocks, axis=1, out=tmin[0])
+    tmax[0], tmin[0] = _block_extremes(fx)
     for k in range(1, nb.bit_length()):
         half = 1 << (k - 1)
         m = nb - (1 << k) + 1

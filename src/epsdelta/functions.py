@@ -636,6 +636,11 @@ class FiniteMetricSpace:
         """Build the induced metric |x_i - x_j| from points on the line,
         without the triangle check that every such matrix passes."""
         xs = np.asarray(xs, dtype=np.float64)
+        # a NaN or infinite coordinate gives a NaN or infinite span too
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = xs.max() - xs.min() if xs.size else 0.0
+        if not np.isfinite(span):
+            raise ValueError("coordinates and their span must be finite")
         if values is None:
             values = xs.copy()
         if labels is None:

@@ -722,6 +722,14 @@ class TestFiniteMetricSpace:
         assert sp.size == len(xs)
         assert not _triangle_violated(sp.dist)
 
+    @pytest.mark.parametrize(
+        "xs", [[0.0, np.inf], [-np.inf, 0.0], [np.inf, np.inf], [np.nan, 1.0], [1e308, -1e308]]
+    )
+    def test_line_points_reject_infinite_coordinates_or_span(self, xs):
+        # raised before |x_i - x_j| is formed, so no overflow or inf - inf warning
+        with pytest.raises(ValueError, match="span must be finite"):
+            FiniteMetricSpace.from_line_points(xs)
+
     def test_line_points_skip_only_the_cubic_check(self, monkeypatch):
         def never(d):
             raise AssertionError("cubic check ran")

@@ -4,7 +4,9 @@ Each kernel must match a direct O(n^2) Python scan bit for bit,
 including the lexicographic tie-break on index pairs.  Inputs whose
 answer lies past offset 16 (past offset 64 for ``min_dist_pair`` where
 values change fast) reach the kernels' lifting stage; the 2^12-point
-grids reach its deepest levels.
+grids reach its deepest levels.  ``min_dist_pair`` first reads what it
+can off the running extremes of finite values; ``TestRunningExtremes``
+aims at the rounding of that stage.
 """
 
 import math
@@ -373,6 +375,14 @@ class TestEdgeCases:
         assert _kernels.min_dist_pair(x, fx, math.nan) == (np.inf, -1, -1)
         assert _kernels.find_violation(x, fx, math.nan, 1.0) == (-1, -1)
 
+    def test_infinite_value_within_offset_16_of_every_point(self):
+        # the direct stage's reach covers every pair, so no block walk
+        # runs, which would form inf - inf and warn
+        x = np.linspace(0.0, 1.0, 17)
+        fx = np.concatenate([[np.inf], np.zeros(16)])
+        assert _kernels.min_dist_pair(x, fx, math.nan) == (np.inf, -1, -1)
+        assert _kernels.min_dist_pair(x, fx, 0.5) == (float(x[1] - x[0]), 0, 1)
+
     @pytest.mark.parametrize("n", [5, 40])
     def test_delta_below_zero_zero_and_nan(self, n):
         x, fx = sample_inputs(7, n, duplicates=True)
@@ -470,18 +480,146 @@ class TestDuality:
                 assert_duality(x, fx, eps)
 
 
+def two_windows(rise, n=200):
+    """Two disjoint linspace windows, each spanning far less than ``rise``,
+    the gap between their values."""
+    h = n // 2
+    x = np.concatenate([np.linspace(0.1, 0.2, h), np.linspace(0.6, 0.7, n - h)])
+    fx = np.concatenate([np.linspace(0.0, 0.05, h), rise + np.linspace(0.0, 0.05, n - h)])
+    return x, fx
+
+
+class TestRunningExtremes:
+    """Inputs whose first hits the running maximum and minimum decide."""
+
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_eps_at_the_spread_and_at_one_pair_gap(self, spec):
+        # at eps == spread, fx[i] + eps can round past the last running max
+        x, fx = _grid(spec, 1000)
+        gaps = [fx.max() - fx.min(), abs(fx[700] - fx[40]), abs(fx[501] - fx[500])]
+        for eps in gaps:
+            eps = float(eps)
+            assert _kernels.min_dist_pair(x, fx, eps) == blocked_min_dist_pair(x, fx, eps)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_running_max_plateaus(self, seed):
+        # values rounded to one decimal: the running extremes stand still
+        # for long runs, and many gaps equal eps exactly
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(0.0, 1.0, 300))
+        fx = np.round(np.cumsum(rng.normal(size=300)) * 0.3, 1)
+        for eps in (0.1, 0.3, 1.0, float(fx.max() - fx.min())):
+            assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
+
+    @pytest.mark.parametrize("rise", [1.0, -1.0])
+    def test_union_of_two_windows(self, rise):
+        x, fx = two_windows(rise)
+        for eps in (0.5, 0.95, 1.0, 1.05, 1.06):
+            assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
+
+    @pytest.mark.parametrize("transform", [
+        lambda v: -v,  # decreasing
+        lambda v: v - 3.0,  # negative
+        lambda v: 1e6 + v * 1e-6,  # an offset far above the gaps
+        lambda v: -1e6 + v * 1e-9,
+    ], ids=["decreasing", "negative", "offset", "negative-offset"])
+    def test_decreasing_negative_and_offset_values(self, transform):
+        x, raw = sample_inputs(12, 300)
+        fx = transform(np.cumsum(raw) * 0.1)
+        spread = float(fx.max() - fx.min())
+        for eps in (0.2 * spread, 0.7 * spread, spread, abs(float(fx[250] - fx[3]))):
+            assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
+
+    def test_rounded_sum_misses_by_many_values(self):
+        # fx[0] + eps rounds to 0, above every later value; yet each tiny
+        # value lies eps above fx[0] once the difference is rounded.  Row 0
+        # first reaches one at offset 21, and 70 repeats of one abscissa
+        # keep the direct stages from settling the answer.
+        x = np.linspace(0.0, 1.0, 300)
+        x[100:170] = x[100]
+        fx = np.concatenate([[-1e6], [1.0 - 1e6] * 20, -1e-13 * np.arange(279, 0, -1)])
+        assert _kernels.min_dist_pair(x, fx, 1e6) == naive_min_dist_pair(x, fx, 1e6)
+        assert _kernels.min_dist_pair(x, fx, 1e6)[1:] == (0, 21)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eps_below_half_an_ulp_of_the_values(self, seed):
+        # fx[i] + eps rounds to fx[i] itself, so searchsorted lands on or
+        # before the row; the first hit is the first other value.  Runs of
+        # 40 equal values, and 70 repeats of one abscissa, keep the direct
+        # stages from settling the answer.
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(0.0, 1.0, 400))
+        x[205:275] = x[205]
+        fx = 1.0 + np.repeat(np.cumsum(rng.integers(-2, 3, 10)), 40) * 2.0 ** -52
+        for eps in (1e-17, 2.0 ** -52, 3 * 2.0 ** -52):
+            assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
+
+    @given(st.lists(st.sampled_from([-1e6, -1.0, -1e-13, 0.0, 1e-13, 1.0, 1.0 + 2.0 ** -52, 1e6]),
+                    min_size=1, max_size=40),
+           st.sampled_from([1e-17, 1e-13, 2.0 ** -52, 0.5, 1.0, 1e6, 2e6]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_first_reaching(self, values, eps):
+        run = np.maximum.accumulate(np.array(values))
+        f = np.array(values[::-1])
+        want = [next((j for j in range(run.size) if run[j] - v >= eps), run.size) for v in f]
+        assert _kernels._first_reaching(run, f, eps).tolist() == want
+
+    def test_values_near_the_largest_float(self):
+        # no difference of values overflows, but fx[i] + eps can: 3 * 2^970
+        # plus the rounded difference to the largest float is that float
+        # plus half an ulp, which rounds to inf
+        top = float(np.finfo(np.float64).max)
+        x = np.linspace(0.0, 1.0, 300)
+        x[100:170] = x[100]  # keeps the direct stages from settling
+        fx = np.full(300, 3 * 2.0 ** 970)
+        fx[-1] = top
+        eps = float(fx[-1] - fx[0])
+        assert fx[0].item() + eps == math.inf
+        assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
+        x, raw = sample_inputs(13, 300)
+        fx = 1e308 * (1.0 + 0.5 * np.sin(np.cumsum(raw) * 0.3))
+        for eps in (0.3e308, 0.7e308, float(fx.max() - fx.min())):
+            assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
+
+    @pytest.mark.parametrize("where", [0, 150, 299])
+    def test_nan_values(self, where):
+        rng = np.random.default_rng(where)
+        x = np.sort(rng.uniform(0.0, 1.0, 300))
+        fx = np.cumsum(rng.normal(size=300)) * 0.05
+        fx[where] = np.nan
+        spread = float(np.nanmax(fx) - np.nanmin(fx))
+        for eps in (0.3 * spread, spread):
+            assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
+        assert _kernels.min_dist_pair(x, fx, math.nan) == (np.inf, -1, -1)
+
+    @pytest.mark.parametrize("spec", ["power(alpha=2,b=1)", "power(alpha=0.5,b=2)",
+                                      "expr(3-x^3,lo=-1,hi=2)", "poly(0,1,1)"])
+    def test_monotone_values_never_walk(self, spec, monkeypatch):
+        def walk(*args):
+            raise AssertionError("a row of monotone values reached the block walk")
+
+        x, fx = _grid(spec)
+        monkeypatch.setattr(_kernels, "_first_hits", walk)
+        monkeypatch.setattr(_kernels, "_block_tables", walk)
+        spread = float(fx.max() - fx.min())
+        for eps in (0.01 * spread, 0.5 * spread, spread):
+            assert _kernels.min_dist_pair(x, fx, eps) == blocked_min_dist_pair(x, fx, eps)
+
+
 class TestMemoryCeiling:
     @pytest.mark.parametrize(
-        "scan",
+        "spec, scan",
         [
-            lambda x, fx: _kernels.min_dist_pair(x, fx, 0.5001),
-            lambda x, fx: _kernels.max_gap_within(x, fx, 0.16),
-            lambda x, fx: _kernels.find_violation(x, fx, 0.5, 0.3),
+            ("chainsaw", lambda x, fx: _kernels.min_dist_pair(x, fx, 0.5001)),
+            # every row is decided by the running extremes: their arrays peak
+            ("power(alpha=2,b=1)", lambda x, fx: _kernels.min_dist_pair(x, fx, 0.5001)),
+            ("chainsaw", lambda x, fx: _kernels.max_gap_within(x, fx, 0.16)),
+            ("chainsaw", lambda x, fx: _kernels.find_violation(x, fx, 0.5, 0.3)),
         ],
-        ids=["min_dist_pair", "max_gap_within", "find_violation"],
+        ids=["min_dist_pair", "min_dist_pair-monotone", "max_gap_within", "find_violation"],
     )
-    def test_traced_peak_per_point(self, scan):
-        x, fx = _grid("chainsaw", 2 ** 20 + 1)
+    def test_traced_peak_per_point(self, spec, scan):
+        x, fx = _grid(spec, 2 ** 20 + 1)
         tracemalloc.start()
         try:
             scan(x, fx)
