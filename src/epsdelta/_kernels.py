@@ -1,6 +1,6 @@
 """Hot pair-scan kernels and the sawtooth evaluator, vectorized in numpy.
 
-Each pair scan runs in stages.
+The hit scans ``min_dist_pair`` and ``find_violation`` run in stages.
 
 1. The direct stage compares all pairs ``(i, i + d)`` at once for the
    offsets d = 1, ..., 16 and stops as soon as the smallest abscissa gap
@@ -19,49 +19,66 @@ Each pair scan runs in stages.
    test itself for the rows where that rounded sum lands off.  Where
    some point does, the row has no upward hit unless the largest value
    past it lies eps above, and only then is it left to the lifting
-   stage.  Monotone values leave no row to it, and neither do two
-   disjoint windows that each span less than eps.
-3. The lifting stage walks every row that is left (every row, in the
-   other two scans) over the blocks of 16 points past its own, by
+   stage.  Two disjoint windows that each span less than eps leave no
+   row to it.  Monotone values take a shorter way: where finite ``fx``
+   never falls and ``0 < eps < inf``, no downward hit exists, so that
+   side is skipped, and ``fx`` is its own running maximum, so its block
+   extremes are the block ends and every row's first hit is the one
+   ``searchsorted``.  Values that never rise are the mirror case.
+3. The lifting stage walks every row that is left (every row, in
+   ``find_violation``) over the blocks of 16 points past its own, by
    binary lifting on a sparse table of block maxima and minima of
    ``fx`` (the block decomposition of Bender & Farach-Colton, "The LCA
    Problem Revisited", LATIN 2000), one level for all rows of a chunk
    at a time.  From the top level down, a row steps over 2^k blocks
-   when they hold no hit ``|fx[j] - fx[i]| >= eps`` (``min_dist_pair``,
-   ``find_violation``), or when they lie inside its window
-   ``x[j] - x[i] <= delta`` (``max_gap_within``, which folds their
-   extremes in).  The block where it stops is read point by point, for
-   the first hit or up to the window end.  In the hit walks, the best
-   gap so far, or the distance bound, rules out rows whose next block
-   starts too far away.  ``min_dist_pair`` builds the tables only when
-   some row is left.
+   when they hold no hit ``|fx[j] - fx[i]| >= eps``.  The block where
+   it stops is read point by point for the first hit.  The best gap so
+   far, or the distance bound, rules out rows whose next block starts
+   too far away.  ``min_dist_pair`` builds the tables only when some
+   row is left.
 
-The lifting stage takes O(n log n) time.  Its tables hold a blocked copy
-of ``fx`` and ``2 (log2(n / 16) + 1)`` floats per block (two more for the
-block ends of ``max_gap_within``), about 25 bytes per point at 2^20
-points, and rows go through it in chunks of 4096.  The running-extreme
-stage holds a few arrays of n floats or indices at a time, so a scan
-needs well under 128 bytes per point beyond its inputs.
+``max_gap_within`` reads each row's window ``(i, J(i)]``, the points with
+``x[j] - x[i] <= delta``, off range tables.  ``J(i)`` is one
+``searchsorted`` of ``x[i] + delta`` in x, corrected by the same
+bisection on the test itself.  A window that leaves its row's block is
+the rest of that block, the head of the block where it ends, and the
+whole blocks between.  The extremes of the first two come from maxima
+and minima within each block from its start, and to its end (van Herk,
+Pattern Recogn. Lett. 13, 1992); those of the blocks between come from
+two overlapping runs of 2^k blocks in the sparse table.  A window
+inside its row's block is compared point by point.
+
+The lifting stage and ``max_gap_within`` take O(n log n) time.  The
+tables hold a blocked copy of ``fx`` and ``2 (log2(n / 16) + 1)`` floats
+per block, about 25 bytes per point at 2^20 points; the within-block
+extremes of ``max_gap_within`` add 32.  Rows go through both in chunks
+of 4096.  The running-extreme stage holds a few arrays of n floats or
+indices at a time, so a scan needs well under 128 bytes per point
+beyond its inputs.
 
 Three rounding facts make every stage give bit-identical results:
 
 - rounded subtraction is monotone, so ``fx[j] - fx[i] >= eps`` holds for
   some j in a range exactly when ``max - fx[i] >= eps`` does for the
-  range's maximum (and likewise ``fx[i] - min``).  For the running
-  maximum, the test thus first holds where the first passing point
-  lies; where no point up to row i passes, that point lies past i.  The
-  range tables use ``fmax``/``fmin``, which skip NaN as the pairwise
-  test does.  A NaN would break the order ``searchsorted`` needs, and
-  ``inf - inf`` the test, so the running-extreme stage runs only on
-  finite ``fx`` and eps, and otherwise every row walks;
+  range's maximum (and likewise ``fx[i] - min``), and the largest
+  ``|fx[j] - fx[i]|`` in a window is ``max - fx[i]`` or ``fx[i] - min``.
+  For the running maximum, the test thus first holds where the first
+  passing point lies; where no point up to row i passes, that point
+  lies past i.  For values that never fall, ``fx[i] - fx[j]`` is at most
+  0 for every ``j > i``.  The range tables use ``fmax``/``fmin``, which
+  skip NaN as the pairwise test does.  A NaN would break the order
+  ``searchsorted`` needs, and ``inf - inf`` the test, so the
+  running-extreme stage runs only on finite ``fx`` and eps, and
+  otherwise every row walks;
 - negation is exact and ``fl(a - b) == -fl(b - a)``, so a downward hit
   of ``fx`` is exactly an upward hit of ``-fx``;
 - ``x[j] - x[i]`` is nondecreasing in j for sorted x, so a row's first
-  hit is also its closest, and a run of blocks lies inside a window
-  exactly when its last point does (``x[i] + delta`` rounds
+  hit is also its closest, and a window's points are the ones before
+  the first j where ``x[j] - x[i] > delta`` (``x[i] + delta`` rounds
   differently).
 
-Every hit test is written as ``>=``, so a NaN eps or delta hits nothing.
+Every hit test is written as ``>=``, so a NaN eps hits nothing, and a
+NaN or negative delta leaves every window empty.
 All scans are serial and deterministic; ties between point pairs are
 broken toward the lexicographically smallest index pair ``(i, j)``.
 Each row's first hit is its smallest pair in that order, so it does not
@@ -87,7 +104,8 @@ _STAGE = 16
 # block after its own lie within _BLOCK - 1 <= _STAGE offsets of the row,
 # so the direct stage and its gate cover them
 _BLOCK = 16
-# rows per pass of the lifting stage, which bounds its temporaries
+# rows per pass of the lifting stage and of max_gap_within, which bounds
+# their temporaries
 _CHUNK = 1 << 12
 # min_dist_pair scans on directly to offset 16 * 2^_NEAR where some
 # 2^_NEAR consecutive blocks hold values eps apart
@@ -106,7 +124,8 @@ def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
     pair = (np.inf, -1, -1)
     if n < 2:
         return pair
-    top, bot = _block_extremes(fx)
+    trend = _trend(fx, eps)
+    top, bot = _block_extremes(fx, trend)
     # a pair at offset <= 16 lies in two neighbouring blocks
     done = n <= _STAGE + 1
     if _spans(top, bot, 1, eps):
@@ -118,6 +137,12 @@ def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
         pair, done = _scan_offsets(x, fx, eps, _STAGE + 1, _BLOCK << _NEAR, pair)
         if done:
             return pair
+    if trend:
+        # only hits along the trend exist, and its values are their own
+        # running maximum: every row's first hit is read off them
+        g = fx if trend > 0 else -fx
+        rows = np.flatnonzero(g[-1] - g >= eps)
+        return min(pair, _closest(x, rows, _first_reaching(g, g[rows], eps)))
     walk = None
     if np.isfinite(eps) and np.isfinite(fx).all():
         walk = np.zeros(n, dtype=bool)
@@ -130,6 +155,19 @@ def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
         # a hit past the best gap so far cannot win
         pair = min(pair, _closest(x, *_first_hits(x, fx, tables, rows, eps, pair[0])))
     return pair
+
+
+def _trend(fx: np.ndarray, eps: float) -> int:
+    """1 where ``fx`` never falls, -1 where it never rises, else 0; 0 also
+    unless ``fx`` and ``eps`` are finite and ``eps`` positive."""
+    # monotone values are finite when their ends are; NaN is neither
+    if not (0.0 < eps < np.inf and np.isfinite(fx[0]) and np.isfinite(fx[-1])):
+        return 0
+    if fx[-1] >= fx[0] and (fx[1:] >= fx[:-1]).all():
+        return 1
+    if fx[-1] <= fx[0] and (fx[1:] <= fx[:-1]).all():
+        return -1
+    return 0
 
 
 def _running_hits(g: np.ndarray, eps: float, walk: np.ndarray):
@@ -151,23 +189,24 @@ def _running_hits(g: np.ndarray, eps: float, walk: np.ndarray):
     return rows, _first_reaching(run, g[rows], eps)
 
 
-def _first_reaching(run: np.ndarray, f: np.ndarray, eps: float) -> np.ndarray:
-    """First ``j`` with ``run[j] - f >= eps`` for each ``f``, ``run.size``
-    where there is none, for nondecreasing ``run``."""
+def _first_reaching(run: np.ndarray, f: np.ndarray, eps: float, strict: bool = False) -> np.ndarray:
+    """First ``j`` with ``run[j] - f >= eps`` (``> eps`` if ``strict``) for
+    each ``f``, ``run.size`` where there is none, for nondecreasing ``run``."""
     n = run.size
+    reach = np.greater if strict else np.greater_equal
     with np.errstate(over="ignore"):
-        c = run.searchsorted(f + eps)
+        c = run.searchsorted(f + eps, side="right" if strict else "left")
     # f + eps is rounded, so c can miss by the values of run within an ulp
     # or so of it, and there may be many: bisect those rows on the test
-    k = np.flatnonzero((c < n) & (run.take(c, mode="clip") - f < eps)
-                       | (c > 0) & (run.take(c - 1, mode="clip") - f >= eps))
+    k = np.flatnonzero((c < n) & ~reach(run.take(c, mode="clip") - f, eps)
+                       | (c > 0) & reach(run.take(c - 1, mode="clip") - f, eps))
     if k.size:
         f = f[k]
         lo = np.zeros(k.size, dtype=np.intp)
         hi = np.full(k.size, n, dtype=np.intp)
         for _ in range(n.bit_length()):
             mid = (lo + hi) // 2
-            ok = (mid == hi) | (run.take(mid, mode="clip") - f >= eps)
+            ok = (mid == hi) | reach(run.take(mid, mode="clip") - f, eps)
             np.copyto(hi, mid, where=ok)
             np.copyto(lo, mid + 1, where=~ok)
         c[k] = lo
@@ -233,44 +272,53 @@ def max_gap_within(x: np.ndarray, fx: np.ndarray, delta: float) -> float:
     delta = float(delta)
     n = x.size
     best = 0.0
-    for _, dx, gap in _offset_gaps(x, fx, 1, _STAGE):
-        mask = dx <= delta
-        if mask.any():
-            g = float(gap[mask].max())
-            if g > best:
-                best = g
-        if float(dx.min()) > delta:
-            return best
-    if n <= _STAGE + 1:
+    # some window holds a point past its row only if a neighbour does
+    if n < 2 or not float((x[1:] - x[:-1]).min()) <= delta:
         return best
-
     blocks, tmax, tmin = _block_tables(fx)
     nb = tmax.shape[1]
-    # the last abscissa of each block but the final one, where the walk
-    # ends at the latest, padded with NaN, which fits no window
-    ends = np.full(2 * nb, np.nan)
-    ends[:nb - 1] = x[_BLOCK - 1:(nb - 1) * _BLOCK:_BLOCK]
-    for rows in _row_chunks(n, n - 1):
-        xi = x[rows]
+    sides = [(np.fmax, tmax, *_block_scans(blocks, np.fmax)),
+             (np.fmin, tmin, *_block_scans(blocks, np.fmin))]
+    for start in range(0, n - 1, _CHUNK):
+        rows = np.arange(start, min(start + _CHUNK, n - 1))
         f = fx[rows]
-        top = f.copy()
-        bot = f.copy()
-        q = rows // _BLOCK + 1
-        # binary lifting: each row steps over blocks inside its window
-        for k in range(tmax.shape[0] - 1, -1, -1):
-            step = ends.take(q + ((1 << k) - 1)) - xi <= delta
-            np.fmax(top, tmax[k].take(q), out=top, where=step)
-            np.fmin(bot, tmin[k].take(q), out=bot, where=step)
-            np.add(q, 1 << k, out=q, where=step)
-        # then the head of block q up to the window end
-        cols = q[:, None] * _BLOCK + np.arange(_BLOCK)
-        inside = x.take(cols, mode="clip") - xi[:, None] <= delta
-        gap = blocks[q]
-        gap -= f[:, None]
+        # the last point of each row's window
+        end = _first_reaching(x, x[rows], delta, strict=True) - 1
+        b = rows // _BLOCK
+        c = end // _BLOCK
+        # a window that leaves its row's block is the rest of that block
+        # (the row adds a gap of 0), the head of block c, and the blocks
+        # between, two overlapping runs of 2^k blocks
+        far = b < c
+        i, j, g = rows[far], end[far], f[far]
+        lo, hi = b[far] + 1, c[far]
+        k = np.frexp(np.maximum(hi - lo, 1))[1] - 1  # floor(log2(blocks between))
+        between = lo < hi
+        runs = k * nb + lo, k * nb + np.maximum(hi - (1 << k), lo)
+        for ext, table, head, rest in sides:
+            e = ext(rest.take(i), head.take(j))
+            ext(e, ext(table.take(runs[0]), table.take(runs[1])), out=e, where=between)
+            e -= g
+            np.abs(e, out=e)
+            best = max(best, float(e.max(initial=0.0)))
+        # a window inside its row's block: compare point by point
+        near = ~far
+        i, reach, g = rows[near], end[near] - rows[near], f[near]
+        d = np.arange(1, int(reach.max(initial=0)) + 1)
+        gap = fx.take(i[:, None] + d, mode="clip")
+        gap -= g[:, None]
         np.abs(gap, out=gap)
-        best = max(best, float(np.maximum(top - f, f - bot).max()),
-                   float(gap.max(initial=0.0, where=inside)))
+        best = max(best, float(gap.max(initial=0.0, where=d <= reach[:, None])))
     return best
+
+
+def _block_scans(blocks: np.ndarray, ext: np.ufunc) -> tuple[np.ndarray, np.ndarray]:
+    """``ext`` over each block from its start to each point, and from each
+    point to the block's end, flat."""
+    head = ext.accumulate(blocks, axis=1)
+    rest = np.empty_like(blocks)
+    ext.accumulate(blocks[:, ::-1], axis=1, out=rest[:, ::-1])
+    return head.ravel(), rest.ravel()
 
 
 def find_violation(x: np.ndarray, fx: np.ndarray, eps: float, dist_bound: float):
@@ -321,9 +369,16 @@ def _row_chunks(n: int, stop: int, walk: np.ndarray | None = None):
         yield rows[start:start + _CHUNK]
 
 
-def _block_extremes(fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_extremes(fx: np.ndarray, trend: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The largest and the smallest value in each block of ``_BLOCK``
-    points, skipping NaN."""
+    points, skipping NaN; read off the block ends where ``trend`` says
+    that ``fx`` never falls (1) or never rises (-1)."""
+    if trend:
+        first = fx[::_BLOCK]
+        last = fx[_BLOCK - 1::_BLOCK]
+        if fx.size % _BLOCK:
+            last = np.append(last, fx[-1])
+        return (last, first) if trend > 0 else (first, last)
     starts = np.arange(0, fx.size, _BLOCK)
     return np.fmax.reduceat(fx, starts), np.fmin.reduceat(fx, starts)
 

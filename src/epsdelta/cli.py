@@ -22,7 +22,7 @@ from .delta import (
     verify_largest_delta,
 )
 from .errors import EpsDeltaError, ParseError
-from .extremum import certified_max_bound, envelope, first_maximizer, refine_extrema
+from .extremum import _certified_bound, envelope, refine_extrema
 from .functions import _NUMBER, Interval, Polynomial, RealFunction, _Parser, parse_function
 from .intermediate import bisect_boundary, classical_ivt, fixed_point, parse_target_set
 from .serialize import csv_text, json_text
@@ -152,13 +152,14 @@ def _dispatch(args: argparse.Namespace) -> str:
         doc = {"points": rows}
     elif args.command == "maximize":
         trace = refine_extrema(f, args.level)
-        bound = certified_max_bound(f, trace, trace.levels[-1], args.resolution)
-        # both read the trace after certified_max_bound fills its last certified_gap
+        # one grid of --resolution points gives the modulus and the maximizer
+        bound, first = _certified_bound(f, trace, trace.levels[-1], args.resolution)
+        # both read the trace after the bound fills its last certified_gap
         columns, rows = trace.table()
         doc = trace.to_json_dict()
         doc["certified_bound"] = bound
         if args.output == "json":
-            doc["first_maximizer"] = first_maximizer(f, args.resolution)
+            doc["first_maximizer"] = first
     else:
         result = _result(args, f)
         doc, (columns, rows) = result.to_json_dict(), result.table()

@@ -221,18 +221,23 @@ def _grid_search(
         half = width * ZOOM_FACTOR ** -r
         if half == 0.0:
             break  # underflowed: no window is narrower
-        windows = []
-        for center in (bx, by):
-            windows.append(
-                np.linspace(max(lo, center - half), min(hi, center + half), cfg.resolution)
-            )
-        pts = np.unique(np.concatenate(windows))
+        pts = _zoom_points(lo, hi, (bx, by), half, cfg.resolution)
         vals = evaluate_many(f, pts)
         dist, i, j = _kernels.min_dist_pair(pts, vals, eps_eff)
         if i >= 0 and dist < best:
             best, bx, by = dist, float(pts[i]), float(pts[j])
 
     return DeltaSample(epsilon=float(epsilon), delta=best, method=METHOD_GRID, bias=BIAS_UPPER_BOUND)
+
+
+def _zoom_points(lo: float, hi: float, centers, half: float, n: int) -> np.ndarray:
+    """The sorted distinct points of ``n``-point windows of half-width
+    ``half`` about each of the ascending ``centers``, clipped to [lo, hi]."""
+    pts = np.concatenate([np.linspace(max(lo, c - half), min(hi, c + half), n) for c in centers])
+    # disjoint windows whose points all differ are sorted and distinct already
+    if (pts[1:] > pts[:-1]).all():
+        return pts
+    return np.unique(pts)
 
 
 def optimal_delta_closed_form(f: RealFunction, epsilon: float) -> DeltaSample:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delta import modulus_of_continuity
+from . import _kernels
 from .errors import LevelTooLarge
 from .functions import (
     MAX_NET_LEVEL,
@@ -173,7 +173,7 @@ def certified_max_bound(
     """The bound M_n + w(mesh_n) for sup f.
 
     ``level`` must have been recorded in the trace.  The modulus is the
-    grid estimate from :func:`modulus_of_continuity`, a lower bound of
+    grid estimate of :func:`modulus_of_continuity`, a lower bound of
     the true modulus, so the bound is not rigorous: it holds only where
     that estimate dominates how far f moves within one mesh cell.  Once
     the mesh is finer than the modulus grid's step, w is 0 and the bound
@@ -181,11 +181,21 @@ def certified_max_bound(
     bound minus M_n.  The default resolution is 2^12 + 1 so the modulus
     grid contains every dyadic mesh width as an exact point spacing.
     """
+    return _certified_bound(f, trace, level, modulus_resolution)[0]
+
+
+def _certified_bound(
+    f: RealFunction, trace: RefinementTrace, level: int, resolution: int
+) -> tuple[float, float]:
+    """`certified_max_bound`, and `first_maximizer` at the same resolution,
+    from one sampling of the grid."""
     i = trace.index_of_level(level)
-    w = modulus_of_continuity(f, trace.mesh[i], modulus_resolution)
+    xs, fx = sample_grid(f, resolution)
+    # modulus_of_continuity on this grid; a mesh is never negative
+    w = _kernels.max_gap_within(xs, fx, trace.mesh[i])
     bound = trace.max_values[i] + w
     trace.certified_gap[i] = bound - trace.max_values[i]
-    return float(bound)
+    return float(bound), float(xs[np.argmax(fx)])
 
 
 def envelope(f: RealFunction, resolution: int) -> np.ndarray:

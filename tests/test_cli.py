@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from epsdelta import MAX_NET_LEVEL, EpsDeltaError, functions
+from epsdelta import MAX_NET_LEVEL, EpsDeltaError, extremum, functions
 from epsdelta.cli import run
 from epsdelta.serialize import json_text
 
@@ -189,6 +189,26 @@ class TestOutputFormats:
         assert doc["first_maximizer"] == 1.0
         assert doc["levels"][-1]["certified_gap"] == 0.125
         assert len(doc["levels"]) == 4
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_maximize_evaluates_its_grid_once(self, capsys, monkeypatch, output):
+        # the certified bound's modulus and the first maximizer share one grid
+        sizes = []
+
+        def counted(f, xs):
+            sizes.append(len(xs))
+            return evaluate_many(f, xs)
+
+        evaluate_many = functions.evaluate_many
+        monkeypatch.setattr(functions, "evaluate_many", counted)
+        monkeypatch.setattr(extremum, "evaluate_many", counted)
+        code, out, err = invoke(
+            capsys, "maximize", "--fn", "poly(0,1,-1)", "--level", "6",
+            "--resolution", "4096", "--output", output,
+        )
+        assert code == 0, err
+        # the refinement's two endpoints and six levels of midpoints, then the grid
+        assert sizes == [2, 1, 2, 4, 8, 16, 32, 4096]
 
     def test_envelope_csv(self, capsys):
         code, out, _ = invoke(

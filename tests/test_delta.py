@@ -35,7 +35,14 @@ from epsdelta import (
     sample_grid,
     verify_largest_delta,
 )
-from epsdelta.delta import GAP_SLACK_REL, MAXIMALITY_MARGIN_REL, VALIDITY_MARGIN_REL
+from epsdelta import delta as delta_module
+from epsdelta.delta import (
+    GAP_SLACK_REL,
+    MAXIMALITY_MARGIN_REL,
+    VALIDITY_MARGIN_REL,
+    _zoom_points,
+    evaluate_many,
+)
 from epsdelta.serialize import csv_text, json_text
 
 IDENTITY = piecewise_linear_function([(0.0, 0.0), (1.0, 1.0)])
@@ -182,6 +189,46 @@ class TestGridSearch:
             GridConfig(refine_rounds=-1)
         with pytest.raises(ValueError):
             GridConfig(gap_slack_rel=-1e-9)
+
+
+class TestZoomPoints:
+    """A refinement round samples the sorted distinct points of its two windows."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, centers, half",
+        [
+            (0.0, 1.0, (0.2, 0.7), 0.1),  # disjoint
+            (0.0, 1.0, (0.25, 0.75), 0.25),  # touching: 0.5 ends one and starts the other
+            (0.0, 1.0, (0.4, 0.5), 0.1),  # overlapping
+            (0.0, 1.0, (0.5, 0.5), 0.1),  # one window twice
+            (0.0, 1.0, (0.0, 1.0), 0.3),  # clipped to the domain
+            (-1.0, 0.0, (-0.5, 0.0), 0.2),  # ending on a zero
+            (1e6, 1e6 + 1e-6, (1e6 + 2e-7, 1e6 + 7e-7), 1e-6 / 16),  # tiny: linspace repeats
+        ],
+        ids=["disjoint", "touching", "overlapping", "same", "clipped", "zero", "tiny"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 4096])
+    def test_equals_unique_of_the_windows(self, lo, hi, centers, half, n):
+        windows = [np.linspace(max(lo, c - half), min(hi, c + half), n) for c in centers]
+        want = np.unique(np.concatenate(windows))
+        got = _zoom_points(lo, hi, centers, half, n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_tiny_domain_search(self, monkeypatch):
+        # every round's points reach the evaluation sorted and distinct
+        f = parse_function("expr(sin(1e7*x),lo=1e6,hi=1000000.000001)")
+        seen = []
+
+        def recorded(g, xs):
+            seen.append(np.array(xs))
+            return evaluate_many(g, xs)
+
+        monkeypatch.setattr(delta_module, "evaluate_many", recorded)
+        optimal_delta_grid(f, 0.5, GridConfig(resolution=4096, refine_rounds=2))
+        assert len(seen) == 2
+        for xs in seen:
+            assert xs.tobytes() == np.unique(xs).tobytes()
+            assert xs.size < 2 * 4096  # linspace repeats points this close
 
 
 class TestDeltaMonotonicity:

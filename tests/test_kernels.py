@@ -3,10 +3,12 @@
 Each kernel must match a direct O(n^2) Python scan bit for bit,
 including the lexicographic tie-break on index pairs.  Inputs whose
 answer lies past offset 16 (past offset 64 for ``min_dist_pair`` where
-values change fast) reach the kernels' lifting stage; the 2^12-point
+values change fast) reach the hit scans' lifting stage; the 2^12-point
 grids reach its deepest levels.  ``min_dist_pair`` first reads what it
 can off the running extremes of finite values; ``TestRunningExtremes``
-aims at the rounding of that stage.
+aims at the rounding of that stage, ``TestMonotoneValues`` at the
+values that take only one side.  ``TestWindowExtremes`` aims at the
+window ends and range tables of ``max_gap_within``.
 """
 
 import math
@@ -398,13 +400,15 @@ class TestEdgeCases:
         for bound in (0.0, -1.0, math.nan):
             assert _kernels.find_violation(x, fx, 0.1, bound) == (-1, -1)
 
-    @pytest.mark.parametrize("n", [5, 40])
+    @pytest.mark.parametrize("n", [5, 40, 300])
     def test_constant_values(self, n):
         x = np.linspace(0.0, 1.0, n)
-        fx = np.full(n, 0.3)
-        assert _kernels.min_dist_pair(x, fx, 0.1) == (np.inf, -1, -1)
-        assert _kernels.max_gap_within(x, fx, 1.0) == 0.0
-        assert _kernels.find_violation(x, fx, 0.1, 2.0) == (-1, -1)
+        for v in (0.3, 0.0, -0.0):
+            fx = np.full(n, v)
+            assert _kernels.min_dist_pair(x, fx, 0.1) == (np.inf, -1, -1)
+            assert _kernels.min_dist_pair(x, fx, 0.0) == naive_min_dist_pair(x, fx, 0.0)
+            assert _kernels.max_gap_within(x, fx, 1.0) == 0.0
+            assert _kernels.find_violation(x, fx, 0.1, 2.0) == (-1, -1)
 
 
 def _grid(spec, n=2 ** 12):
@@ -606,6 +610,155 @@ class TestRunningExtremes:
             assert _kernels.min_dist_pair(x, fx, eps) == blocked_min_dist_pair(x, fx, eps)
 
 
+def monotone_inputs(seed, n, trend, step=0.1):
+    """Sorted abscissas with 70 repeats of one value, which keep the direct
+    stages from settling, and values that never fall (trend 1) or never
+    rise (-1): plateaus of values rounded to ``step``, zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    x[n // 3:n // 3 + 70] = x[n // 3]
+    fx = np.sort(np.round(rng.uniform(-1.0, 1.0, n) / step) * step)[::trend]
+    zero = fx == 0.0
+    fx[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+    return x, np.ascontiguousarray(fx)
+
+
+class TestMonotoneValues:
+    """``min_dist_pair`` reads monotone values' hits off one side only."""
+
+    @pytest.mark.parametrize("trend", [1, -1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_plateaus_and_signed_zeros(self, trend, seed):
+        x, fx = monotone_inputs(seed, 300, trend)
+        assert ((fx == 0.0) & np.signbit(fx)).any() and ((fx == 0.0) & ~np.signbit(fx)).any()
+        assert _kernels._trend(fx, 0.5) == trend
+        gaps = (0.05, 0.1, 0.5, 1.0, float(abs(fx[250] - fx[20])), float(fx.max() - fx.min()))
+        for eps in gaps:
+            assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
+
+    @pytest.mark.parametrize("trend", [1, -1])
+    @pytest.mark.parametrize("strict", [False, True], ids=["plateaus", "strict"])
+    def test_eps_zero_negative_and_nan_take_no_side(self, trend, strict):
+        # at eps <= 0 equal values hit, and a side whose values never rise
+        # has hits; NaN hits nothing
+        x, fx = monotone_inputs(3, 300, trend)
+        if strict:
+            x = np.linspace(0.0, 1.0, 300)
+            fx = np.ascontiguousarray(np.linspace(-1.0, 1.0, 300)[::trend])
+        for eps in (0.0, -0.0, -0.5, math.nan):
+            assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
+            assert _kernels._trend(fx, eps) == 0
+
+    @pytest.mark.parametrize("trend", [1, -1])
+    @pytest.mark.parametrize("where", [0, 1, 150, 298, 299])
+    def test_one_nan_breaks_the_run(self, trend, where):
+        x, fx = monotone_inputs(4, 300, trend)
+        fx[where] = np.nan
+        assert _kernels._trend(fx, 0.5) == 0
+        for eps in (0.3, 0.5, float(np.nanmax(fx) - np.nanmin(fx))):
+            assert _kernels.min_dist_pair(x, fx, eps) == naive_min_dist_pair(x, fx, eps)
+
+    @pytest.mark.parametrize("trend", [1, -1])
+    def test_infinite_end_takes_no_side(self, trend):
+        x, fx = monotone_inputs(5, 100, trend)
+        fx[-1 if trend > 0 else 0] = np.inf
+        assert _kernels._trend(fx, 0.5) == 0
+        assert _kernels.min_dist_pair(x, fx, 0.5) == naive_min_dist_pair(x, fx, 0.5)
+
+    @pytest.mark.parametrize("n", [16, 17, 31, 32, 33, 100])
+    def test_block_ends_are_block_extremes(self, n):
+        fx = np.sort(np.random.default_rng(n).uniform(-1.0, 1.0, n))
+        for trend, g in ((1, fx), (-1, fx[::-1].copy())):
+            got = _kernels._block_extremes(g, trend)
+            want = _kernels._block_extremes(g)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @given(st.integers(min_value=2, max_value=300), st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from([1, -1]), st.sampled_from([0.001, 0.1, 0.5]),
+           st.one_of(st.sampled_from([0.0, -0.25, math.nan, 0.3, 1.9]),
+                     st.tuples(st.integers(0, 299), st.integers(0, 299), st.sampled_from([-1, 0, 1]))))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_property_matches_oracle(self, n, seed, trend, step, eps):
+        x, fx = monotone_inputs(seed, n, trend, step)
+        if isinstance(eps, tuple):  # one pair's gap, or the float below or above it
+            i, j, side = eps
+            eps = float(abs(fx[j % n] - fx[i % n]))
+            if side:
+                eps = float(np.nextafter(eps, side * np.inf))
+        assert _kernels.min_dist_pair(x, fx, eps) == blocked_min_dist_pair(x, fx, eps)
+
+
+def abscissas(kind, n, seed):
+    """Sorted abscissas on [0, 1]: uniform, in six tight clusters, or on
+    n / 4 levels, each repeated about four times."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return np.linspace(0.0, 1.0, n)
+    if kind == "clustered":
+        centers = rng.uniform(0.0, 1.0, 6)
+        return np.sort(centers[rng.integers(0, 6, n)] + rng.normal(0.0, 1e-3, n))
+    levels = max(1, n // 4)
+    return np.sort(rng.integers(0, levels + 1, n) / levels)
+
+
+KINDS = ["uniform", "clustered", "repeated"]
+
+
+class TestWindowExtremes:
+    """``max_gap_within`` reads each window's extremes off range tables."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_window_widths(self, kind, seed):
+        # in grid steps of 300 points: below one step, inside one block,
+        # across a few blocks, across many, the whole array and past it
+        n = 300
+        x = abscissas(kind, n, seed)
+        fx = np.random.default_rng(seed + 10).uniform(-1.0, 1.0, n)
+        for steps in (0.5, 1.0, 3.0, 10.0, 40.0, 150.0, 299.0, math.inf):
+            delta = steps / (n - 1)
+            assert _kernels.max_gap_within(x, fx, delta) == naive_max_gap_within(x, fx, delta)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_window_ends_on_a_pair_distance(self, kind):
+        n = 300
+        x = abscissas(kind, n, 2)
+        fx = np.cumsum(np.random.default_rng(3).normal(size=n))
+        for i, j in ((0, 5), (10, 26), (3, 60), (100, 299), (0, 299)):
+            d = float(x[j] - x[i])
+            for delta in (d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf)):
+                got = _kernels.max_gap_within(x, fx, delta)
+                assert got == blocked_max_gap_within(x, fx, delta)
+
+    def test_delta_below_one_step(self):
+        x = np.linspace(0.0, 1.0, 1000)
+        fx = np.sin(40.0 * x)
+        step = float(np.diff(x).min())
+        assert _kernels.max_gap_within(x, fx, np.nextafter(step, -np.inf)) == 0.0
+        assert _kernels.max_gap_within(x, fx, step) == blocked_max_gap_within(x, fx, step)
+
+    @pytest.mark.parametrize("n", [17, 33, 64, 65, 4097])
+    def test_whole_array(self, n):
+        x, fx = sample_inputs(n, n)
+        for delta in (1.0, math.inf):
+            assert _kernels.max_gap_within(x, fx, delta) == float(fx.max() - fx.min())
+
+    @given(st.integers(min_value=2, max_value=400), st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from(KINDS),
+           st.one_of(st.sampled_from([0.0, 1e-3, 0.01, 0.05, 0.2, 0.6, 1.0]),
+                     st.tuples(st.integers(0, 399), st.integers(0, 399), st.sampled_from([-1, 0, 1]))))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_property_matches_oracle(self, n, seed, kind, delta):
+        x = abscissas(kind, n, seed)
+        fx = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        if isinstance(delta, tuple):  # one pair's distance, or the float below or above it
+            i, j, side = delta
+            delta = float(abs(x[j % n] - x[i % n]))
+            if side:
+                delta = float(np.nextafter(delta, side * np.inf))
+        assert _kernels.max_gap_within(x, fx, delta) == blocked_max_gap_within(x, fx, delta)
+
+
 class TestMemoryCeiling:
     @pytest.mark.parametrize(
         "spec, scan",
@@ -615,8 +768,13 @@ class TestMemoryCeiling:
             ("power(alpha=2,b=1)", lambda x, fx: _kernels.min_dist_pair(x, fx, 0.5001)),
             ("chainsaw", lambda x, fx: _kernels.max_gap_within(x, fx, 0.16)),
             ("chainsaw", lambda x, fx: _kernels.find_violation(x, fx, 0.5, 0.3)),
+            # every window reaches nearly to the end of the array
+            ("chainsaw", lambda x, fx: _kernels.max_gap_within(x, fx, 0.9)),
+            # nonincreasing values: the downward side, on negated values
+            ("expr(1-x*x,lo=0,hi=1)", lambda x, fx: _kernels.min_dist_pair(x, fx, 0.5001)),
         ],
-        ids=["min_dist_pair", "min_dist_pair-monotone", "max_gap_within", "find_violation"],
+        ids=["min_dist_pair", "min_dist_pair-monotone", "max_gap_within", "find_violation",
+             "max_gap_within-wide", "min_dist_pair-nonincreasing"],
     )
     def test_traced_peak_per_point(self, spec, scan):
         x, fx = _grid(spec, 2 ** 20 + 1)
