@@ -7,9 +7,7 @@ The hit scans ``min_dist_pair`` and ``find_violation`` run in stages.
    at the current offset rules out every later offset.  A pair at
    offset 16 or less lies in two neighbouring blocks of 16 points, so
    ``min_dist_pair`` runs this stage only where two such blocks hold
-   values eps apart.  Where some 64 consecutive points do, it goes on to
-   offset 64, because an answer that close costs less to reach this way
-   than by lifting.
+   values eps apart.
 2. ``min_dist_pair`` then reads most rows' first hits off the running
    extremes of ``fx``.  Take the upward hits ``fx[j] - fx[i] >= eps``;
    the downward ones are the upward hits of ``-fx``.  Where no point up
@@ -32,14 +30,13 @@ The hit scans ``min_dist_pair`` and ``find_violation`` run in stages.
    Problem Revisited", LATIN 2000), one level for all rows of a chunk
    at a time.  From the top level down, a row steps over 2^k blocks
    when they hold no hit ``|fx[j] - fx[i]| >= eps``.  The block where
-   it stops is read point by point for the first hit.  The best gap so
-   far, or the distance bound, rules out rows whose next block starts
-   too far away.  ``min_dist_pair`` builds the tables only when some
-   row is left.
+   it stops is read point by point for the first hit.
+   ``min_dist_pair`` builds the tables only when some row is left.
 
 ``max_gap_within`` reads each row's window ``(i, J(i)]``, the points with
-``x[j] - x[i] <= delta``, off range tables.  ``J(i)`` is one
-``searchsorted`` of ``x[i] + delta`` in x, corrected by the same
+``x[j] - x[i] <= delta``, off range tables.  ``J(i) + 1`` is the first
+point past the window, found as the running-extreme stage finds a first
+hit, with x as its own running maximum: one ``searchsorted``, then the
 bisection on the test itself.  A window that leaves its row's block is
 the rest of that block, the head of the block where it ends, and the
 whole blocks between.  The extremes of the first two come from maxima
@@ -56,7 +53,7 @@ of 4096.  The running-extreme stage holds a few arrays of n floats or
 indices at a time, so a scan needs well under 128 bytes per point
 beyond its inputs.
 
-Three rounding facts make every stage give bit-identical results:
+Four rounding facts make every stage give bit-identical results:
 
 - rounded subtraction is monotone, so ``fx[j] - fx[i] >= eps`` holds for
   some j in a range exactly when ``max - fx[i] >= eps`` does for the
@@ -75,7 +72,12 @@ Three rounding facts make every stage give bit-identical results:
 - ``x[j] - x[i]`` is nondecreasing in j for sorted x, so a row's first
   hit is also its closest, and a window's points are the ones before
   the first j where ``x[j] - x[i] > delta`` (``x[i] + delta`` rounds
-  differently).
+  differently);
+- for delta below inf, ``x[j] - x[i] > delta`` holds exactly when
+  ``x[j] - x[i] >= nextafter(delta, inf)``, the next float up.  At inf
+  it never holds, even where a difference of x overflows to inf, and
+  neither does ``>= NaN``.  So a window ends before its row's first hit
+  of the next float up, or of NaN at inf.
 
 Every hit test is written as ``>=``, so a NaN eps hits nothing, and a
 NaN or negative delta leaves every window empty.
@@ -84,10 +86,10 @@ broken toward the lexicographically smallest index pair ``(i, j)``.
 Each row's first hit is its smallest pair in that order, so it does not
 matter in which stage a row's hit is found.
 
-Inputs are 1-d float64 arrays with ``x`` sorted ascending; repeated
-abscissas are allowed.  ``min_dist_pair`` and ``find_violation`` match
-the pairwise definitions for any ``fx``, ``max_gap_within`` for finite
-``fx``.
+Inputs are 1-d float64 arrays with ``x`` finite and sorted ascending;
+repeated abscissas are allowed.  ``min_dist_pair`` and
+``find_violation`` match the pairwise definitions for any ``fx``,
+``max_gap_within`` for finite ``fx``.
 
 ``find_violation`` has no caller in the library: ``verify_largest_delta``
 reads both of its answers off the closest pair of ``min_dist_pair``.  It
@@ -95,6 +97,8 @@ stays because the benchmark's checks and tracer (``perfbench/``) name it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -107,11 +111,12 @@ _BLOCK = 16
 # rows per pass of the lifting stage and of max_gap_within, which bounds
 # their temporaries
 _CHUNK = 1 << 12
-# min_dist_pair scans on directly to offset 16 * 2^_NEAR where some
-# 2^_NEAR consecutive blocks hold values eps apart
-_NEAR = 2
 
 
+# inf - inf comes out NaN, and a difference past the largest float inf;
+# both hit as in the pairwise test, and which stage forms them depends
+# on the stages before it, so the hit scans form them quietly
+@np.errstate(invalid="ignore", over="ignore")
 def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
     """Closest pair ``(dist, i, j)`` with ``|fx[j] - fx[i]| >= eps``.
 
@@ -128,32 +133,28 @@ def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
     top, bot = _block_extremes(fx, trend)
     # a pair at offset <= 16 lies in two neighbouring blocks
     done = n <= _STAGE + 1
-    if _spans(top, bot, 1, eps):
-        pair, done = _scan_offsets(x, fx, eps, 1, _STAGE, pair)
+    if _spans(top, bot, eps):
+        pair, done = _scan_offsets(x, fx, eps)
     if done:
         return pair
-    # an answer within reach of the direct scan costs less to find by it
-    if _spans(top, bot, _NEAR, eps):
-        pair, done = _scan_offsets(x, fx, eps, _STAGE + 1, _BLOCK << _NEAR, pair)
-        if done:
-            return pair
     if trend:
         # only hits along the trend exist, and its values are their own
         # running maximum: every row's first hit is read off them
         g = fx if trend > 0 else -fx
         rows = np.flatnonzero(g[-1] - g >= eps)
         return min(pair, _closest(x, rows, _first_reaching(g, g[rows], eps)))
-    walk = None
     if np.isfinite(eps) and np.isfinite(fx).all():
         walk = np.zeros(n, dtype=bool)
         for g in (fx, -fx):  # hits upward, then downward as upward hits of -fx
             pair = min(pair, _closest(x, *_running_hits(g, eps, walk)))
-        if not walk.any():
+        rows = np.flatnonzero(walk)
+        if not rows.size:
             return pair
+    else:
+        rows = np.arange(n)
     tables = _block_tables(fx)
-    for rows in _row_chunks(n, n - 1, walk):
-        # a hit past the best gap so far cannot win
-        pair = min(pair, _closest(x, *_first_hits(x, fx, tables, rows, eps, pair[0])))
+    for chunk in _row_chunks(n, n - 1, rows):
+        pair = min(pair, _closest(x, *_first_hits(fx, tables, chunk, eps)))
     return pair
 
 
@@ -189,24 +190,24 @@ def _running_hits(g: np.ndarray, eps: float, walk: np.ndarray):
     return rows, _first_reaching(run, g[rows], eps)
 
 
-def _first_reaching(run: np.ndarray, f: np.ndarray, eps: float, strict: bool = False) -> np.ndarray:
-    """First ``j`` with ``run[j] - f >= eps`` (``> eps`` if ``strict``) for
-    each ``f``, ``run.size`` where there is none, for nondecreasing ``run``."""
+# f + eps and run[j] - f may overflow to inf, which compares as it should
+@np.errstate(over="ignore")
+def _first_reaching(run: np.ndarray, f: np.ndarray, eps: float) -> np.ndarray:
+    """First ``j`` with ``run[j] - f >= eps`` for each ``f``, ``run.size``
+    where there is none, for nondecreasing ``run``."""
     n = run.size
-    reach = np.greater if strict else np.greater_equal
-    with np.errstate(over="ignore"):
-        c = run.searchsorted(f + eps, side="right" if strict else "left")
+    c = run.searchsorted(f + eps)
     # f + eps is rounded, so c can miss by the values of run within an ulp
     # or so of it, and there may be many: bisect those rows on the test
-    k = np.flatnonzero((c < n) & ~reach(run.take(c, mode="clip") - f, eps)
-                       | (c > 0) & reach(run.take(c - 1, mode="clip") - f, eps))
+    k = np.flatnonzero((c < n) & ~(run.take(c, mode="clip") - f >= eps)
+                       | (c > 0) & (run.take(c - 1, mode="clip") - f >= eps))
     if k.size:
         f = f[k]
         lo = np.zeros(k.size, dtype=np.intp)
         hi = np.full(k.size, n, dtype=np.intp)
         for _ in range(n.bit_length()):
             mid = (lo + hi) // 2
-            ok = (mid == hi) | reach(run.take(mid, mode="clip") - f, eps)
+            ok = (mid == hi) | (run.take(mid, mode="clip") - f >= eps)
             np.copyto(hi, mid, where=ok)
             np.copyto(lo, mid + 1, where=~ok)
         c[k] = lo
@@ -222,34 +223,29 @@ def _closest(x: np.ndarray, rows: np.ndarray, hits: np.ndarray):
     return float(dist[k]), int(rows[k]), int(hits[k])
 
 
-def _spans(top: np.ndarray, bot: np.ndarray, k: int, eps: float) -> bool:
-    """Whether some ``2^k`` consecutive blocks hold values eps apart, from
-    the blocks' extremes ``top`` and ``bot``; the runs are shorter where
-    there are fewer blocks."""
-    for s in range(k):
-        h = 1 << s
-        if top.size <= h:
-            break
-        top = np.fmax(top[:-h], top[h:])
-        bot = np.fmin(bot[:-h], bot[h:])
+def _spans(top: np.ndarray, bot: np.ndarray, eps: float) -> bool:
+    """Whether some two neighbouring blocks, or the one block there is,
+    hold values eps apart, from the blocks' extremes ``top`` and ``bot``."""
+    if top.size > 1:
+        top = np.fmax(top[:-1], top[1:])
+        bot = np.fmin(bot[:-1], bot[1:])
     return bool((top - bot >= eps).any())
 
 
-def _offset_gaps(x: np.ndarray, fx: np.ndarray, first: int, last: int):
+def _offset_gaps(x: np.ndarray, fx: np.ndarray):
     """``(d, x[d:] - x[:-d], |fx[d:] - fx[:-d]|)`` for the direct stage's
-    offsets ``d = first .. last`` below ``x.size``."""
-    for d in range(first, min(x.size, last + 1)):
+    offsets ``d = 1 .. 16`` below ``x.size``."""
+    for d in range(1, min(x.size, _STAGE + 1)):
         yield d, x[d:] - x[:-d], np.abs(fx[d:] - fx[:-d])
 
 
-def _scan_offsets(x: np.ndarray, fx: np.ndarray, eps: float, first: int, last: int, pair):
-    """The direct stage of `min_dist_pair` over offsets ``first .. last``.
-
-    ``pair`` is the closest pair ``(dist, i, j)`` found so far.  Returns
-    the closest pair after these offsets, and whether it is final: no
-    later offset can beat it.
+def _scan_offsets(x: np.ndarray, fx: np.ndarray, eps: float):
+    """The direct stage of `min_dist_pair`: the closest pair
+    ``(dist, i, j)`` at offsets 1 to 16, ``(inf, -1, -1)`` where none
+    qualifies, and whether it is final: no later offset can beat it.
     """
-    for d, dx, gap in _offset_gaps(x, fx, first, last):
+    pair = (np.inf, -1, -1)
+    for d, dx, gap in _offset_gaps(x, fx):
         qual = gap >= eps
         if qual.any():
             cand = np.where(qual, dx, np.inf)
@@ -259,7 +255,7 @@ def _scan_offsets(x: np.ndarray, fx: np.ndarray, eps: float, first: int, last: i
         # offsets only widen: min over offset d+1 >= min over offset d
         if pair[1] >= 0 and float(dx.min()) > pair[0]:
             return pair, True
-    return pair, x.size <= last + 1
+    return pair, x.size <= _STAGE + 1
 
 
 def max_gap_within(x: np.ndarray, fx: np.ndarray, delta: float) -> float:
@@ -279,11 +275,14 @@ def max_gap_within(x: np.ndarray, fx: np.ndarray, delta: float) -> float:
     nb = tmax.shape[1]
     sides = [(np.fmax, tmax, *_block_scans(blocks, np.fmax)),
              (np.fmin, tmin, *_block_scans(blocks, np.fmin))]
+    # a window ends before the first point this far past its row; math's
+    # nextafter steps from the largest float to inf without numpy's warning
+    above = math.nextafter(delta, math.inf) if delta < math.inf else math.nan
     for start in range(0, n - 1, _CHUNK):
         rows = np.arange(start, min(start + _CHUNK, n - 1))
         f = fx[rows]
         # the last point of each row's window
-        end = _first_reaching(x, x[rows], delta, strict=True) - 1
+        end = _first_reaching(x, x[rows], above) - 1
         b = rows // _BLOCK
         c = end // _BLOCK
         # a window that leaves its row's block is the rest of that block
@@ -321,6 +320,7 @@ def _block_scans(blocks: np.ndarray, ext: np.ufunc) -> tuple[np.ndarray, np.ndar
     return head.ravel(), rest.ravel()
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def find_violation(x: np.ndarray, fx: np.ndarray, eps: float, dist_bound: float):
     """Lexicographically first ``(i, j)`` with ``x[j]-x[i] < dist_bound``
     and ``|fx[j]-fx[i]| >= eps``; ``(-1, -1)`` when no such pair exists.
@@ -331,7 +331,7 @@ def find_violation(x: np.ndarray, fx: np.ndarray, eps: float, dist_bound: float)
     dist_bound = float(dist_bound)
     n = x.size
     bi = bj = -1
-    for d, dx, gap in _offset_gaps(x, fx, 1, _STAGE):
+    for d, dx, gap in _offset_gaps(x, fx):
         hit = (dx < dist_bound) & (gap >= eps)
         if hit.any():
             i = int(np.argmax(hit))
@@ -343,12 +343,10 @@ def find_violation(x: np.ndarray, fx: np.ndarray, eps: float, dist_bound: float)
     if n <= _STAGE + 1:
         return bi, bj
 
-    # only rows before the direct stage's pair can still come first; a
-    # gap is below dist_bound exactly when it is at most the next float down
+    # only rows before the direct stage's pair can still come first
     tables = _block_tables(fx)
-    cap = float(np.nextafter(dist_bound, -np.inf))
-    for rows in _row_chunks(n, bi if bi >= 0 else n - 1):
-        rows, hits = _first_hits(x, fx, tables, rows, eps, cap)
+    for rows in _row_chunks(n, bi if bi >= 0 else n - 1, np.arange(n)):
+        rows, hits = _first_hits(fx, tables, rows, eps)
         close = x[hits] - x[rows] < dist_bound
         if close.any():
             k = int(np.argmax(close))
@@ -356,15 +354,10 @@ def find_violation(x: np.ndarray, fx: np.ndarray, eps: float, dist_bound: float)
     return bi, bj
 
 
-def _row_chunks(n: int, stop: int, walk: np.ndarray | None = None):
-    """Row indices ``0 .. stop - 1`` that have a block after their own, and
-    are marked in ``walk`` when it is given, in chunks."""
-    stop = min(stop, (n - 1) // _BLOCK * _BLOCK)
-    if walk is None:
-        for start in range(0, stop, _CHUNK):
-            yield np.arange(start, min(start + _CHUNK, stop))
-        return
-    rows = np.flatnonzero(walk[:stop])
+def _row_chunks(n: int, stop: int, rows: np.ndarray):
+    """The ascending ``rows`` below ``stop`` that have a block after their
+    own, in chunks."""
+    rows = rows[:rows.searchsorted(min(stop, (n - 1) // _BLOCK * _BLOCK))]
     for start in range(0, rows.size, _CHUNK):
         yield rows[start:start + _CHUNK]
 
@@ -407,20 +400,16 @@ def _block_tables(fx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return blocks, tmax, tmin
 
 
-def _first_hits(x: np.ndarray, fx: np.ndarray, tables, rows: np.ndarray, eps: float,
-                cap: float) -> tuple[np.ndarray, np.ndarray]:
+def _first_hits(fx: np.ndarray, tables, rows: np.ndarray,
+                eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows with a hit past their own block, and each one's first hit.
 
     A row's hit is a ``j`` from the block after its own on with
-    ``|fx[j] - fx[i]| >= eps``.  Rows whose next block starts more than
-    ``cap`` past them are left out.
+    ``|fx[j] - fx[i]| >= eps``.
     """
     blocks, tmax, tmin = tables
     nb = tmax.shape[1]
     q = rows // _BLOCK + 1
-    near = x[q * _BLOCK] - x[rows] <= cap
-    rows = rows[near]
-    q = q[near]
     f = fx[rows]
     # binary lifting: each row steps over blocks without a hit
     for k in range(tmax.shape[0] - 1, -1, -1):

@@ -2,13 +2,13 @@
 
 Each kernel must match a direct O(n^2) Python scan bit for bit,
 including the lexicographic tie-break on index pairs.  Inputs whose
-answer lies past offset 16 (past offset 64 for ``min_dist_pair`` where
-values change fast) reach the hit scans' lifting stage; the 2^12-point
-grids reach its deepest levels.  ``min_dist_pair`` first reads what it
-can off the running extremes of finite values; ``TestRunningExtremes``
-aims at the rounding of that stage, ``TestMonotoneValues`` at the
-values that take only one side.  ``TestWindowExtremes`` aims at the
-window ends and range tables of ``max_gap_within``.
+answer lies past offset 16 reach the hit scans' lifting stage; the
+2^12-point grids reach its deepest levels.  ``min_dist_pair`` first
+reads what it can off the running extremes of finite values;
+``TestRunningExtremes`` aims at the rounding of that stage,
+``TestMonotoneValues`` at the values that take only one side.
+``TestWindowExtremes`` aims at the window ends and range tables of
+``max_gap_within``.
 """
 
 import math
@@ -237,6 +237,32 @@ def ramp(n, repeats=()):
     return (k - np.searchsorted(repeats, k, side="right")) * 0.25, k * 1.0
 
 
+def spike(k, nan_at=None, n=100):
+    """Quarter-step abscissas and values 0.5 but for 0 at point 0 and 1 at
+    point k, so that (0, k) is the only pair 1 apart; a NaN at ``nan_at``
+    sends every row of ``min_dist_pair`` through the lifting stage."""
+    x = np.arange(n) * 0.25
+    fx = np.full(n, 0.5)
+    fx[[0, k]] = [0.0, 1.0]
+    if nan_at is not None:
+        fx[nan_at] = np.nan
+    return x, fx
+
+
+def spike_examples(*bounds):
+    """``spike`` inputs at offsets 17 to 65, with and without a NaN, as
+    hypothesis examples at eps 1, and at each of ``bounds``, functions of
+    the offset, when given."""
+    def add(test):
+        for k in (17, 32, 63, 64, 65):
+            for nan_at in (None, 99):
+                for bound in bounds or [None]:
+                    extra = () if bound is None else (bound(k),)
+                    test = example(spike(k, nan_at), 1.0, *extra)(test)
+        return test
+    return add
+
+
 # a far pair's exact distance, and one ulp either side of it
 PAIR = sample_inputs(9, 100)
 PAIR_DIST = float(PAIR[0][60] - PAIR[0][5])
@@ -244,6 +270,7 @@ PAIR_DIST = float(PAIR[0][60] - PAIR[0][5])
 
 class TestLiftingStage:
     @given(tie_heavy_inputs(), quarters)
+    @spike_examples()
     @tie_heavy
     def test_min_dist_pair_tie_heavy(self, inputs, eps):
         x, fx = inputs
@@ -268,6 +295,7 @@ class TestLiftingStage:
         assert _kernels.max_gap_within(x, fx, delta) == naive_max_gap_within(x, fx, delta)
 
     @given(tie_heavy_inputs(), quarters, quarters)
+    @spike_examples(lambda k: k * 0.25, lambda k: (k + 1) * 0.25)  # the pair's distance, a step past
     @tie_heavy
     def test_find_violation_tie_heavy(self, inputs, eps, bound):
         x, fx = inputs
@@ -378,8 +406,7 @@ class TestEdgeCases:
         assert _kernels.find_violation(x, fx, math.nan, 1.0) == (-1, -1)
 
     def test_infinite_value_within_offset_16_of_every_point(self):
-        # the direct stage's reach covers every pair, so no block walk
-        # runs, which would form inf - inf and warn
+        # the direct stage's reach covers every pair, so no block walk runs
         x = np.linspace(0.0, 1.0, 17)
         fx = np.concatenate([[np.inf], np.zeros(16)])
         assert _kernels.min_dist_pair(x, fx, math.nan) == (np.inf, -1, -1)
@@ -391,8 +418,11 @@ class TestEdgeCases:
         dup = naive_max_gap_within(x, fx, 0.0)
         assert dup == abs(fx[n // 2] - fx[n // 2 - 1])
         assert _kernels.max_gap_within(x, fx, 0.0) == dup
+        assert _kernels.max_gap_within(x, fx, -0.0) == dup
         assert _kernels.max_gap_within(x, fx, -0.1) == 0.0
         assert _kernels.max_gap_within(x, fx, math.nan) == 0.0
+        top = float(np.finfo(np.float64).max)
+        assert _kernels.max_gap_within(x, fx, top) == naive_max_gap_within(x, fx, top)
 
     @pytest.mark.parametrize("n", [5, 40])
     def test_nonpositive_or_nan_bound_finds_nothing(self, n):
@@ -442,7 +472,8 @@ class TestLargeGrids:
     @pytest.mark.parametrize("spec", GRIDS)
     def test_find_violation(self, spec):
         x, fx = _grid(spec)
-        for eps, bound in ((0.5, 0.3), (0.9, 0.95), (0.45, 0.2)):
+        # bounds of a few grid steps leave most rows no close hit
+        for eps, bound in ((0.5, 0.3), (0.9, 0.95), (0.45, 0.2), (0.05, 6 / 4095), (0.2, 6 / 4095)):
             assert _kernels.find_violation(x, fx, eps, bound) == blocked_find_violation(
                 x, fx, eps, bound
             )
@@ -736,6 +767,14 @@ class TestWindowExtremes:
         step = float(np.diff(x).min())
         assert _kernels.max_gap_within(x, fx, np.nextafter(step, -np.inf)) == 0.0
         assert _kernels.max_gap_within(x, fx, step) == blocked_max_gap_within(x, fx, step)
+
+    def test_infinite_delta_where_distances_overflow(self):
+        # every pair lies within inf, also those whose distance overflows
+        # to inf, as the two ends' does: their gap is the spread
+        x = np.linspace(-1.0, 1.0, 300) * 1.6e308
+        fx = np.linspace(-1.0, 1.0, 300)
+        with np.errstate(over="ignore"):
+            assert _kernels.max_gap_within(x, fx, math.inf) == 2.0
 
     @pytest.mark.parametrize("n", [17, 33, 64, 65, 4097])
     def test_whole_array(self, n):
