@@ -102,11 +102,9 @@ import math
 
 import numpy as np
 
-# offsets compared directly before the lifting stage
-_STAGE = 16
-# points per block of the range tables; the points between a row and the
-# block after its own lie within _BLOCK - 1 <= _STAGE offsets of the row,
-# so the direct stage and its gate cover them
+# points per block of the range tables, and the offsets 1 .. _BLOCK the
+# direct stage compares: the points between a row and the block after
+# its own lie within _BLOCK - 1 offsets of it, so that stage covers them
 _BLOCK = 16
 # rows per pass of the lifting stage and of max_gap_within, which bounds
 # their temporaries
@@ -132,7 +130,7 @@ def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
     trend = _trend(fx, eps)
     top, bot = _block_extremes(fx, trend)
     # a pair at offset <= 16 lies in two neighbouring blocks
-    done = n <= _STAGE + 1
+    done = n <= _BLOCK + 1
     if _spans(top, bot, eps):
         pair, done = _scan_offsets(x, fx, eps)
     if done:
@@ -235,7 +233,7 @@ def _spans(top: np.ndarray, bot: np.ndarray, eps: float) -> bool:
 def _offset_gaps(x: np.ndarray, fx: np.ndarray):
     """``(d, x[d:] - x[:-d], |fx[d:] - fx[:-d]|)`` for the direct stage's
     offsets ``d = 1 .. 16`` below ``x.size``."""
-    for d in range(1, min(x.size, _STAGE + 1)):
+    for d in range(1, min(x.size, _BLOCK + 1)):
         yield d, x[d:] - x[:-d], np.abs(fx[d:] - fx[:-d])
 
 
@@ -255,7 +253,7 @@ def _scan_offsets(x: np.ndarray, fx: np.ndarray, eps: float):
         # offsets only widen: min over offset d+1 >= min over offset d
         if pair[1] >= 0 and float(dx.min()) > pair[0]:
             return pair, True
-    return pair, x.size <= _STAGE + 1
+    return pair, x.size <= _BLOCK + 1
 
 
 def max_gap_within(x: np.ndarray, fx: np.ndarray, delta: float) -> float:
@@ -340,7 +338,7 @@ def find_violation(x: np.ndarray, fx: np.ndarray, eps: float, dist_bound: float)
                 bi, bj = i, i + d
         if float(dx.min()) >= dist_bound:
             return bi, bj
-    if n <= _STAGE + 1:
+    if n <= _BLOCK + 1:
         return bi, bj
 
     # only rows before the direct stage's pair can still come first

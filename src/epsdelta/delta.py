@@ -260,15 +260,25 @@ def optimal_delta_closed_form(f: RealFunction, epsilon: float) -> DeltaSample:
     rule = f.rule
     if isinstance(rule, PowerFamily):
         alpha, b = rule.alpha, rule.b
-        spread = b ** alpha
-        if not (epsilon < spread):
+        try:
+            spread = b ** alpha
+            if not (epsilon < spread):
+                raise OutOfRange(
+                    f"epsilon must be below the range spread {spread!r}, got {epsilon!r}"
+                )
+            if alpha >= 1.0:
+                delta = b - (spread - epsilon) ** (1.0 / alpha)
+            else:
+                delta = epsilon ** (1.0 / alpha)
+        except OverflowError:
             raise OutOfRange(
-                f"epsilon must be below the range spread {spread!r}, got {epsilon!r}"
+                f"power closed form overflows a float for alpha={alpha!r}, b={b!r}"
+            ) from None
+        # the formula underflows (alpha < 1) or cancels (alpha >= 1)
+        if not (delta > 0.0):
+            raise OutOfRange(
+                f"power closed form rounds delta to {delta!r} at epsilon {epsilon!r}"
             )
-        if alpha >= 1.0:
-            delta = b - (spread - epsilon) ** (1.0 / alpha)
-        else:
-            delta = epsilon ** (1.0 / alpha)
         return DeltaSample(float(epsilon), float(delta), METHOD_CLOSED_FORM, BIAS_EXACT)
     if isinstance(rule, Chainsaw):
         n = _chainsaw_jump_index(epsilon)

@@ -10,9 +10,10 @@ of continuity estimate w gives a certified upper bound
 
 valid whenever w really bounds how much f moves across one mesh cell.
 
-Refinement evaluates each level's new points in cache-sized chunks and
-folds each chunk into the running extremes, so its memory does not grow
-with the level.
+Refinement evaluates only each level's new points: the two ends at
+level 0, the new midpoints after that, in cache-sized chunks.  One fold
+takes every chunk into the running extremes, so its memory does not
+grow with the level.
 """
 
 from __future__ import annotations
@@ -97,73 +98,60 @@ class RefinementTrace:
 def refine_extrema(f: RealFunction, max_level: int) -> RefinementTrace:
     """Track grid extrema over nested dyadic nets up to ``max_level``.
 
-    Each level evaluates only the new midpoints, so the whole run costs
-    one evaluation per point of the finest net.  The midpoints stream
-    through one reused buffer in chunks of ``_CHUNK`` points, so memory
-    stays the same at every level and the evaluation's temporaries stay
-    in cache; the trace is the one a whole-level pass gives.
+    Each level evaluates only the points no coarser net has, the two ends
+    at level 0 and the new midpoints after it, so the whole run costs one
+    evaluation per point of the finest net.  The midpoints stream through
+    one reused buffer in chunks of ``_CHUNK`` points, so memory stays the
+    same at every level; the trace is the one a whole-level pass gives.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be nonnegative, got {max_level}")
     if max_level > MAX_NET_LEVEL:
         raise LevelTooLarge(f"level {max_level} exceeds the maximum {MAX_NET_LEVEL}")
 
-    lo, span = f.domain.lo, f.domain.span
     trace = RefinementTrace(function_id=canonical_text(f))
-
-    ends = dyadic_net(f.domain, 0)
-    v0 = evaluate_many(f, ends)
-    # state: value and abscissa; argmax and argmin return the first
-    # extreme, the leftmost-point tie rule
-    i, j = int(np.argmax(v0)), int(np.argmin(v0))
-    cur_max, max_x = float(v0[i]), float(ends[i])
-    cur_min, min_x = float(v0[j]), float(ends[j])
-    _record(trace, 0, span, cur_max, cur_min, max_x, min_x)
-
+    # values are finite, so the first chunk replaces these
+    cur_max, max_x, cur_min, min_x = -np.inf, None, np.inf, None
     # odd net indices 1, 3, 5, ... of one chunk, and the buffer its points go to
     odd = np.arange(1, 2 * min(_CHUNK, 2 ** max_level // 2), 2, dtype=np.float64)
     buf = np.empty_like(odd)
-    for n in range(1, max_level + 1):
-        # new points of level n are the odd multiples of 2^-n, k = 2j + 1
-        count = 2 ** (n - 1)
-        for start in range(0, count, _CHUNK):
-            pts = buf[: min(count - start, _CHUNK)]
-            # in place, the same roundings as lo + span * ((2j + 1) / 2^n)
-            np.add(odd[: pts.size], 2.0 * start, out=pts)
-            pts /= 2.0 ** n
-            pts *= span
-            pts += lo
+    for n in range(max_level + 1):
+        for pts in _new_points(f.domain, n, odd, buf):
             vals = evaluate_many(f, pts)
-
-            # net points never decrease with their index: ties move only leftward
+            # argmax and argmin return the first extreme, and net points
+            # never decrease with their index: ties move only leftward
             i = int(np.argmax(vals))
             if vals[i] > cur_max or (vals[i] == cur_max and pts[i] < max_x):
                 cur_max, max_x = float(vals[i]), float(pts[i])
             i = int(np.argmin(vals))
             if vals[i] < cur_min or (vals[i] == cur_min and pts[i] < min_x):
                 cur_min, min_x = float(vals[i]), float(pts[i])
-
-        _record(trace, n, span / 2.0 ** n, cur_max, cur_min, max_x, min_x)
-
+        trace.levels.append(n)
+        trace.mesh.append(float(f.domain.span / 2.0 ** n))
+        trace.max_values.append(cur_max)
+        trace.min_values.append(cur_min)
+        trace.argmax.append(max_x)
+        trace.argmin.append(min_x)
+        trace.certified_gap.append(None)
     return trace
 
 
-def _record(
-    trace: RefinementTrace,
-    level: int,
-    mesh: float,
-    cur_max: float,
-    cur_min: float,
-    max_x: float,
-    min_x: float,
-) -> None:
-    trace.levels.append(level)
-    trace.mesh.append(float(mesh))
-    trace.max_values.append(cur_max)
-    trace.min_values.append(cur_min)
-    trace.argmax.append(max_x)
-    trace.argmin.append(min_x)
-    trace.certified_gap.append(None)
+def _new_points(domain: Interval, level: int, odd: np.ndarray, buf: np.ndarray):
+    """The points of the level-``level`` net that no coarser net has: both
+    ends at level 0, exact as `dyadic_net` makes them, else the odd
+    multiples of 2^-level, ``_CHUNK`` at a time in ``buf``."""
+    if level == 0:
+        yield dyadic_net(domain, 0)
+        return
+    count = 2 ** (level - 1)
+    for start in range(0, count, _CHUNK):
+        pts = buf[: min(count - start, _CHUNK)]
+        # in place, the same roundings as lo + span * ((2j + 1) / 2^n)
+        np.add(odd[: pts.size], 2.0 * start, out=pts)
+        pts /= 2.0 ** level
+        pts *= domain.span
+        pts += domain.lo
+        yield pts
 
 
 def certified_max_bound(

@@ -262,6 +262,30 @@ class TestExitCodes:
         assert err.startswith("error: sawtooth closed form underflows")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "fn, eps",
+        [("power(alpha=2,b=1e200)", "1"), ("power(alpha=0.5,b=1e-300)", "1e-200"),
+         ("power(alpha=3,b=1)", "1e-17")],
+        ids=["spread-overflows", "delta-underflows", "delta-cancels"],
+    )
+    def test_power_closed_form_out_of_float_range_is_one(self, capsys, fn, eps):
+        code, out, err = invoke(capsys, "delta", "--fn", fn, "--eps", eps, "--closed-form")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: power closed form ")
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_power_profile_falls_back_to_grid_where_delta_cancels(self, capsys):
+        code, out, err = invoke(
+            capsys, "delta-profile", "--fn", "power(alpha=3,b=1)", "--eps", "1e-17,0.5"
+        )
+        assert (code, err) == (0, "")
+        samples = json.loads(out)["samples"]
+        assert [(s["epsilon"], s["method"]) for s in samples] == [
+            (1e-17, "grid"), (0.5, "closed_form")
+        ]
+
     @pytest.mark.parametrize("eps", ["5e-324", "1e-300"])
     def test_tiny_epsilon_profile_falls_back_to_grid(self, capsys, eps):
         code, out, _ = invoke(capsys, "delta-profile", "--fn", "chainsaw", "--eps", eps)

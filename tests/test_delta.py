@@ -1,6 +1,8 @@
 """Optimal tolerance search: closed forms, grid search, oracle agreement."""
 
 import json
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -91,6 +93,28 @@ class TestClosedForm:
         # 1/(n(2n+1)) stays positive up to about n = 9e153
         s = optimal_delta_closed_form(chainsaw_function(), 1e-153)
         assert 0.0 < s.delta <= 1e-306
+
+    @pytest.mark.parametrize(
+        "alpha, b, eps",
+        [(2.0, 1e200, 1.0),
+         (0.999, sys.float_info.max, math.nextafter(sys.float_info.max ** 0.999, 0.0))],
+        ids=["spread", "delta"],
+    )
+    def test_power_overflow_is_out_of_range(self, alpha, b, eps):
+        # b ** alpha, or eps ** (1 / alpha) just below b, passes the largest float
+        with pytest.raises(OutOfRange, match="overflows"):
+            optimal_delta_closed_form(power_function(alpha, b), eps)
+
+    @pytest.mark.parametrize(
+        "alpha, b, eps",
+        [(0.5, 1e-300, 1e-200), (3.0, 1.0, 1e-17), (1.5, 0.4363078791907446, 1e-17)],
+        ids=["underflow", "cancellation-zero", "cancellation-negative"],
+    )
+    def test_power_delta_lost_to_rounding_is_out_of_range(self, alpha, b, eps):
+        # eps ** (1/alpha) underflows for alpha < 1; b - (b^alpha - eps)^(1/alpha)
+        # cancels to 0 or below for alpha >= 1, though the true delta is positive
+        with pytest.raises(OutOfRange, match="rounds delta to"):
+            optimal_delta_closed_form(power_function(alpha, b), eps)
 
     def test_epsilon_above_spread_is_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -348,6 +372,13 @@ class TestBuildProfile:
         profile = build_profile(f, [0.8, 0.1, 0.4, 0.2], GridConfig(resolution=1024))
         deltas = [s.delta for s in profile.samples]
         assert deltas == sorted(deltas)
+
+    def test_power_closed_form_lost_to_rounding_falls_back_to_grid(self):
+        profile = build_profile(power_function(3, 1), [1e-17, 0.5], GridConfig(resolution=1024))
+        assert [(s.epsilon, s.method) for s in profile.samples] == [
+            (1e-17, METHOD_GRID), (0.5, METHOD_CLOSED_FORM)
+        ]
+        assert profile.samples[0].delta > 0.0
 
     def test_constant_function_fails_before_sampling(self):
         with pytest.raises(EmptyLevelSet, match="spread"):

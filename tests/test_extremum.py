@@ -107,6 +107,14 @@ class TestRefineExtrema:
         assert all(x == 0.0 for x in trace.argmax)
         assert all(x == 0.0 for x in trace.argmin)
 
+    def test_negative_zero_end_kept_as_both_extremes(self):
+        # == cannot tell -0.0 from 0.0; the sign bit can
+        f = polynomial_function([2.5], Interval(-0.0, 1.0))
+        for level in range(7):
+            trace = refine_extrema(f, level)
+            assert len(trace.argmax) == len(trace.argmin) == level + 1
+            assert all(math.copysign(1.0, x) == -1.0 for x in trace.argmax + trace.argmin)
+
     def test_equal_peaks_tie_to_the_left(self):
         trace = refine_extrema(TWO_PEAK, 6)
         assert trace.argmax[-1] == 0.25
@@ -257,11 +265,20 @@ def tie_across_chunks(level):
     return piecewise_linear_function(pts + [(1.0, 0.0)])
 
 
+EACH_FUNCTION = pytest.mark.parametrize(
+    "f", [PARABOLA, TWO_PEAK, COS40, AWKWARD, chainsaw_function()],
+    ids=["parabola", "two-peak", "cos40", "awkward", "chainsaw"],
+)
+
+
 class TestStreamingMatchesWholeLevels:
-    @pytest.mark.parametrize(
-        "f", [PARABOLA, TWO_PEAK, COS40, AWKWARD, chainsaw_function()],
-        ids=["parabola", "two-peak", "cos40", "awkward", "chainsaw"],
-    )
+    @EACH_FUNCTION
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_ends_and_first_midpoint(self, f, level):
+        # level 0 evaluates only the two ends, with no odd index at all
+        assert refine_extrema(f, level) == whole_level_trace(f, level)
+
+    @EACH_FUNCTION
     def test_two_full_chunks(self, f):
         level = CHUNK_LEVEL + 1
         assert 2 ** (level - 1) == 2 * extremum._CHUNK
