@@ -37,9 +37,12 @@ The hit scans ``min_dist_pair`` and ``find_violation`` run in stages.
 ``x[j] - x[i] <= delta``, off range tables.  ``J(i) + 1`` is the first
 point past the window, found as the running-extreme stage finds a first
 hit, with x as its own running maximum: one ``searchsorted``, then the
-bisection on the test itself.  A window that leaves its row's block is
-the rest of that block, the head of the block where it ends, and the
-whole blocks between.  The extremes of the first two come from maxima
+bisection on the test itself.  The search goes right of points equal to
+``x[i]`` plus the next float above delta, since that sum rounds onto
+the window's last point where delta is a distance of the grid; so those
+rows need no bisection.  A window that leaves its row's block is the
+rest of that block, the head of the block where it ends, and the whole
+blocks between.  The extremes of the first two come from maxima
 and minima within each block from its start, and to its end (van Herk,
 Pattern Recogn. Lett. 13, 1992); those of the blocks between come from
 two overlapping runs of 2^k blocks in the sparse table.  A window
@@ -190,11 +193,13 @@ def _running_hits(g: np.ndarray, eps: float, walk: np.ndarray):
 
 # f + eps and run[j] - f may overflow to inf, which compares as it should
 @np.errstate(over="ignore")
-def _first_reaching(run: np.ndarray, f: np.ndarray, eps: float) -> np.ndarray:
+def _first_reaching(run: np.ndarray, f: np.ndarray, eps: float,
+                    side: str = "left") -> np.ndarray:
     """First ``j`` with ``run[j] - f >= eps`` for each ``f``, ``run.size``
-    where there is none, for nondecreasing ``run``."""
+    where there is none, for nondecreasing ``run``.  ``side`` is where
+    the first guess falls among values of ``run`` equal to ``f + eps``."""
     n = run.size
-    c = run.searchsorted(f + eps)
+    c = run.searchsorted(f + eps, side=side)
     # f + eps is rounded, so c can miss by the values of run within an ulp
     # or so of it, and there may be many: bisect those rows on the test
     k = np.flatnonzero((c < n) & ~(run.take(c, mode="clip") - f >= eps)
@@ -279,8 +284,10 @@ def max_gap_within(x: np.ndarray, fx: np.ndarray, delta: float) -> float:
     for start in range(0, n - 1, _CHUNK):
         rows = np.arange(start, min(start + _CHUNK, n - 1))
         f = fx[rows]
-        # the last point of each row's window
-        end = _first_reaching(x, x[rows], above) - 1
+        # the last point of each row's window; where delta is a distance of
+        # the grid, x[i] + above rounds onto the window's last point, so the
+        # first guess goes right of points equal to it
+        end = _first_reaching(x, x[rows], above, "right") - 1
         b = rows // _BLOCK
         c = end // _BLOCK
         # a window that leaves its row's block is the rest of that block
@@ -449,3 +456,15 @@ def chainsaw_values(t: np.ndarray) -> np.ndarray:
     n = np.where((n > 1.0) & (v > 1.0 / n), n - 1.0, n)
     out[pos] = np.abs((2.0 * n + 1.0) * v - 2.0)
     return out
+
+
+def chainsaw_value(t: float) -> float:
+    """`chainsaw_values` at one float, operation for operation."""
+    if not t >= _TINY:
+        return 0.0
+    n = max(float(math.floor(1.0 / t)), 1.0)
+    if t < 1.0 / (n + 1.0):
+        n += 1.0
+    if n > 1.0 and t > 1.0 / n:
+        n -= 1.0
+    return abs((2.0 * n + 1.0) * t - 2.0)

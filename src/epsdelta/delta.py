@@ -317,7 +317,9 @@ def optimal_delta_finite(space: FiniteMetricSpace, epsilon: float) -> DeltaSampl
     """
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    qual = np.abs(space.values[:, None] - space.values[None, :]) >= epsilon
+    # one n x n float temporary, made absolute in place
+    gap = np.subtract.outer(space.values, space.values)
+    qual = np.abs(gap, out=gap) >= epsilon
     if not qual.any():
         spread = float(space.values.max() - space.values.min())
         raise EmptyLevelSet(

@@ -10,10 +10,11 @@ of continuity estimate w gives a certified upper bound
 
 valid whenever w really bounds how much f moves across one mesh cell.
 
-Refinement evaluates only each level's new points: the two ends at
-level 0, the new midpoints after that, in cache-sized chunks.  One fold
-takes every chunk into the running extremes, so its memory does not
-grow with the level.
+Refinement takes in only each level's new points: the two ends at
+level 0, the new midpoints after that.  The coarse levels read them off
+one evaluated net; finer ones evaluate them in cache-sized chunks.  One
+fold takes every chunk into the running extremes, so its memory does
+not grow with the level.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import LevelTooLarge
+from .errors import DomainError, LevelTooLarge
 from .functions import (
     MAX_NET_LEVEL,
     Interval,
@@ -36,6 +37,10 @@ from .functions import (
 # points per evaluation chunk in refine_extrema: 256 KB of float64 each
 # for the points, the values and every evaluation temporary, within L2
 _CHUNK = 2 ** 15
+
+# refine_extrema evaluates the nets up to this level in one call: up to
+# a few thousand points, a call per level costs more than its points do
+_COARSE = 12
 
 
 def dyadic_net(domain: Interval, level: int) -> np.ndarray:
@@ -98,11 +103,14 @@ class RefinementTrace:
 def refine_extrema(f: RealFunction, max_level: int) -> RefinementTrace:
     """Track grid extrema over nested dyadic nets up to ``max_level``.
 
-    Each level evaluates only the points no coarser net has, the two ends
+    Each level takes in only the points no coarser net has, the two ends
     at level 0 and the new midpoints after it, so the whole run costs one
-    evaluation per point of the finest net.  The midpoints stream through
-    one reused buffer in chunks of ``_CHUNK`` points, so memory stays the
-    same at every level; the trace is the one a whole-level pass gives.
+    evaluation per point of the finest net.  Levels up to ``_COARSE``
+    read theirs off one evaluation of the level-``_COARSE`` net; finer
+    levels stream their midpoints through one reused buffer in chunks of
+    ``_CHUNK`` points, so memory stays the same at every level.  The
+    trace is the one a whole-level pass gives, and an evaluation error
+    names the point that level order meets first.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be nonnegative, got {max_level}")
@@ -112,12 +120,8 @@ def refine_extrema(f: RealFunction, max_level: int) -> RefinementTrace:
     trace = RefinementTrace(function_id=canonical_text(f))
     # values are finite, so the first chunk replaces these
     cur_max, max_x, cur_min, min_x = -np.inf, None, np.inf, None
-    # odd net indices 1, 3, 5, ... of one chunk, and the buffer its points go to
-    odd = np.arange(1, 2 * min(_CHUNK, 2 ** max_level // 2), 2, dtype=np.float64)
-    buf = np.empty_like(odd)
-    for n in range(max_level + 1):
-        for pts in _new_points(f.domain, n, odd, buf):
-            vals = evaluate_many(f, pts)
+    for n, chunks in enumerate(_level_chunks(f, max_level)):
+        for pts, vals in chunks:
             # argmax and argmin return the first extreme, and net points
             # never decrease with their index: ties move only leftward
             i = int(np.argmax(vals))
@@ -136,13 +140,40 @@ def refine_extrema(f: RealFunction, max_level: int) -> RefinementTrace:
     return trace
 
 
+def _level_chunks(f: RealFunction, max_level: int):
+    """For each level 0 .. ``max_level``, the ``(points, values)`` chunks of
+    its new points.
+
+    Up to level ``c = min(max_level, _COARSE)`` these are strided views of
+    the level-c net and its values: its ends at level 0, and every
+    2^(c-n+1)-th point from the 2^(c-n)-th at level n.  They are the
+    points `_new_points` makes, bit for bit: k / 2^c is (2j+1) / 2^n
+    exactly, and ``+`` and ``*`` commute.
+    """
+    c = min(max_level, _COARSE)
+    net = dyadic_net(f.domain, c)
+    levels = [slice(None, None, 2 ** c)]
+    levels += [slice(2 ** (c - n), None, 2 ** (c - n + 1)) for n in range(1, c + 1)]
+    try:
+        vals = evaluate_many(f, net)
+    except DomainError:
+        # name the offender a level-by-level pass meets first
+        for sl in levels:
+            evaluate_many(f, net[sl])
+        raise
+    for sl in levels:
+        yield [(net[sl], vals[sl])]
+    # odd net indices 1, 3, 5, ... of one chunk, and the buffer its points go to
+    odd = np.arange(1, 2 * min(_CHUNK, 2 ** max_level // 2), 2, dtype=np.float64)
+    buf = np.empty_like(odd)
+    for n in range(c + 1, max_level + 1):
+        yield ((pts, evaluate_many(f, pts)) for pts in _new_points(f.domain, n, odd, buf))
+
+
 def _new_points(domain: Interval, level: int, odd: np.ndarray, buf: np.ndarray):
-    """The points of the level-``level`` net that no coarser net has: both
-    ends at level 0, exact as `dyadic_net` makes them, else the odd
-    multiples of 2^-level, ``_CHUNK`` at a time in ``buf``."""
-    if level == 0:
-        yield dyadic_net(domain, 0)
-        return
+    """The points of the level-``level`` net, ``level >= 1``, that no
+    coarser net has: the odd multiples of 2^-level, ``_CHUNK`` at a time
+    in ``buf``."""
     count = 2 ** (level - 1)
     for start in range(0, count, _CHUNK):
         pts = buf[: min(count - start, _CHUNK)]

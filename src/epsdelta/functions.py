@@ -22,8 +22,10 @@ chained operator; a deeper one is a ParseError (CLI exit code 2).
 
 from __future__ import annotations
 
+import math
+import operator
 import re
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from math import inf as _INF, pi as _PI
 
 import numpy as np
@@ -84,11 +86,26 @@ class PowerFamily:
         if not (self.b > 0.0 and np.isfinite(self.b)):
             raise ValueError(f"b must be positive, got {self.b}")
 
+    def values(self, xc: np.ndarray) -> np.ndarray:
+        return xc ** self.alpha
+
+    def value(self, xc: float) -> float:
+        # ``**`` on a one-point array takes the loops it takes on any
+        # array: numpy's square and sqrt for alpha 2 and 0.5
+        with np.errstate(over="ignore"):
+            return float((np.array([xc]) ** self.alpha)[0])
+
 
 @dataclass(frozen=True)
 class Chainsaw:
     """Decreasing sawtooth on [0, 1]: tooth n on [1/(n+1), 1/n] has value
     |(2n+1)t - 2|, zero at 2/(2n+1), peak 1/n at the right edge; f(0) = 0."""
+
+    def values(self, xc: np.ndarray) -> np.ndarray:
+        return _kernels.chainsaw_values(xc)
+
+    def value(self, xc: float) -> float:
+        return _kernels.chainsaw_value(xc)
 
 
 @dataclass(frozen=True)
@@ -101,12 +118,37 @@ class Polynomial:
         if len(self.coefficients) == 0:
             raise ValueError("polynomial needs at least one coefficient")
 
+    def values(self, xc: np.ndarray) -> np.ndarray:
+        # Horner in place, with polyval's arithmetic and signed zeros:
+        # c[-1] + x*0, then c[-i] + acc*x
+        c = self.coefficients
+        vals = xc * 0.0
+        np.add(c[-1], vals, out=vals)
+        for ci in c[-2::-1]:
+            np.multiply(vals, xc, out=vals)
+            np.add(ci, vals, out=vals)
+        return vals
+
+    def value(self, xc: float) -> float:
+        # the same operations in the same order, correctly rounded on floats too
+        c = self.coefficients
+        acc = float(c[-1]) + xc * 0.0
+        for ci in c[-2::-1]:
+            acc = float(ci) + acc * xc
+        return acc
+
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
-    """Linear interpolation through breakpoints with strictly increasing x."""
+    """Linear interpolation through breakpoints with strictly increasing x.
+
+    ``px`` and ``py`` hold the breakpoints' coordinates as read-only
+    arrays, built once; equality, hashing and ``repr`` use ``points`` alone.
+    """
 
     points: tuple[tuple[float, float], ...]
+    px: np.ndarray = field(init=False, repr=False, compare=False)
+    py: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.points) < 2:
@@ -115,6 +157,16 @@ class PiecewiseLinear:
         for a, b in zip(xs, xs[1:]):
             if not a < b:
                 raise ValueError(f"breakpoint x-values must strictly increase, got {a} then {b}")
+        xy = np.array(self.points, dtype=np.float64).T.copy()
+        xy.flags.writeable = False
+        object.__setattr__(self, "px", xy[0])
+        object.__setattr__(self, "py", xy[1])
+
+    def values(self, xc: np.ndarray) -> np.ndarray:
+        return np.interp(xc, self.px, self.py)
+
+    def value(self, xc: float) -> float:
+        return float(np.interp(xc, self.px, self.py))
 
 
 @dataclass(frozen=True)
@@ -123,7 +175,24 @@ class Expression:
 
     tree: tuple
 
+    def values(self, xc: np.ndarray) -> np.ndarray:
+        vals = _eval_node(self.tree, xc)
+        if not isinstance(vals, np.ndarray):
+            # a tree with neither x nor pow: one scalar, broadcast once
+            return np.full(xc.shape, vals)
+        # a bare ``x`` returns its argument: never hand back the caller's array
+        return vals.copy() if vals is xc else vals
 
+    def value(self, xc: float) -> float:
+        return _eval_point(self.tree, xc)
+
+
+# Each rule maps the clamped points ``xc`` to values two ways: ``values``
+# takes a float64 array to a fresh one, and runs with numpy's
+# floating-point errors silenced; ``value`` takes one float to a float
+# with the bits ``values`` gives that point at any array length, and
+# raises no warning.  Either may give non-finite values; evaluate_many
+# and evaluate reject them.
 Rule = PowerFamily | Chainsaw | Polynomial | PiecewiseLinear | Expression
 
 
@@ -214,6 +283,45 @@ def _eval_node(node: tuple, x: np.ndarray) -> np.ndarray | np.float64:
     return ufunc(*args)
 
 
+def _quiet(ufunc, *args: float) -> float:
+    """``ufunc`` on one-point arrays of ``args``, as `_eval_node` calls it
+    on one point, with numpy's floating-point errors silenced."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return float(ufunc(*[np.array([a]) for a in args])[0])
+
+
+# op name -> a float function with the bits of that op's ufunc: + - * /,
+# unary - and abs round correctly on floats too, and x/0 is numpy's signed
+# inf or NaN.  sin and cos of inf are NaN without numpy's warning; a NaN's
+# sign and payload change no finite result (only pow(NaN, 0) and
+# pow(1, NaN) are finite)
+_POINT_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": lambda a, b: a / b if b else _quiet(np.divide, a, b),
+    "neg": operator.neg,
+    "abs": abs,
+    "pow": lambda a, b: _quiet(np.power, a, b),
+    "sin": lambda a: float(np.sin(a)) if math.isfinite(a) else math.nan,
+    "cos": lambda a: float(np.cos(a)) if math.isfinite(a) else math.nan,
+}
+
+
+def _eval_point(node: tuple, x: float) -> float:
+    """Value of an expression tree at the one point ``x``, with the bits
+    `_eval_node` gives it at any array length."""
+    op = node[0]
+    if op == "const":
+        return float(node[1])
+    if op == "x":
+        return x
+    # spelled out by arity: a comprehension here costs more than the op
+    if len(node) == 2:
+        return _POINT_OPS[op](_eval_point(node[1], x))
+    return _POINT_OPS[op](_eval_point(node[1], x), _eval_point(node[2], x))
+
+
 def evaluate_many(f: RealFunction, xs) -> np.ndarray:
     """Evaluate f at an array of points.
 
@@ -235,36 +343,9 @@ def evaluate_many(f: RealFunction, xs) -> np.ndarray:
     # clamping is the identity (-0.0 included) when every point is inside
     xc = xs if lo <= x_min and x_max <= hi else np.clip(xs, lo, hi)
 
-    rule = f.rule
     # floating-point errors surface as non-finite values, rejected below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if isinstance(rule, PowerFamily):
-            vals = xc ** rule.alpha
-        elif isinstance(rule, Chainsaw):
-            vals = _kernels.chainsaw_values(xc)
-        elif isinstance(rule, Polynomial):
-            # Horner in place, with polyval's arithmetic and signed zeros:
-            # c[-1] + x*0, then c[-i] + acc*x
-            c = rule.coefficients
-            vals = xc * 0.0
-            np.add(c[-1], vals, out=vals)
-            for ci in c[-2::-1]:
-                np.multiply(vals, xc, out=vals)
-                np.add(ci, vals, out=vals)
-        elif isinstance(rule, PiecewiseLinear):
-            px = np.array([p[0] for p in rule.points])
-            py = np.array([p[1] for p in rule.points])
-            vals = np.interp(xc, px, py)
-        elif isinstance(rule, Expression):
-            vals = _eval_node(rule.tree, xc)
-            if not isinstance(vals, np.ndarray):
-                # a tree with neither x nor pow: one scalar, broadcast once
-                vals = np.full(xc.shape, vals)
-            elif vals is xs:
-                # a bare ``x`` returns its argument: never hand back the caller's array
-                vals = vals.copy()
-        else:
-            raise TypeError(f"unknown rule type {type(rule).__name__}")
+        vals = f.rule.values(xc)
     if vals.size and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
         offender = float(xc[np.argmax(~np.isfinite(vals))])
         raise DomainError(f"f is non-finite at x={offender!r}")
@@ -272,7 +353,24 @@ def evaluate_many(f: RealFunction, xs) -> np.ndarray:
 
 
 def evaluate(f: RealFunction, x: float) -> float:
-    return float(evaluate_many(f, np.array([float(x)]))[0])
+    """Evaluate f at one point: ``evaluate_many(f, [x])[0]`` bit for bit.
+
+    The domain slack, the clamp, the DomainErrors and their messages
+    are `evaluate_many`'s, but the work is done on Python floats, with
+    numpy only where a family's bits depend on its loops.
+    """
+    x = float(x)
+    lo, hi = f.domain.lo, f.domain.hi
+    tol = DOMAIN_TOL_REL * f.domain.span
+    # a NaN fails this test too
+    if not (lo - tol <= x <= hi + tol):
+        raise DomainError(f"x={x!r} outside domain [{lo!r}, {hi!r}]")
+    # clamping is the identity (-0.0 included) inside the domain
+    xc = float(lo) if x < lo else float(hi) if x > hi else x
+    val = f.rule.value(xc)
+    if not math.isfinite(val):
+        raise DomainError(f"f is non-finite at x={xc!r}")
+    return val
 
 
 def sample_grid(
@@ -311,7 +409,7 @@ def anchor_points(f: RealFunction) -> np.ndarray:
         m = np.arange(1, CHAINSAW_ANCHOR_TEETH + 1, dtype=np.float64)
         pts = np.concatenate(([0.0], 1.0 / m, 2.0 / (2.0 * m + 1.0)))
     elif isinstance(rule, PiecewiseLinear):
-        pts = np.array([p[0] for p in rule.points], dtype=np.float64)
+        pts = rule.px
     else:
         return np.empty(0, dtype=np.float64)
     lo, hi = f.domain.lo, f.domain.hi
@@ -585,12 +683,12 @@ def _triangle_violated(d: np.ndarray) -> bool:
 class FiniteMetricSpace:
     """A nonempty finite point set with a metric and a real value per point.
 
-    Distances must be finite, zero on the diagonal, symmetric and
-    nonnegative.  A matrix passed in is also checked for the triangle
-    inequality, up to a small float-rounding slack; that check takes
-    O(n^3) time, so past ``MAX_METRIC_POINTS`` points it raises
-    LevelTooLarge instead.  :meth:`from_line_points` skips it: |x_i - x_j|
-    is a metric by construction, and its rounding stays inside the slack.
+    Values must be finite.  A matrix passed in must be finite, zero on
+    the diagonal, symmetric and nonnegative, and is also checked for the
+    triangle inequality, up to a small float-rounding slack; that check
+    takes O(n^3) time, so past ``MAX_METRIC_POINTS`` points it raises
+    LevelTooLarge instead.  :meth:`from_line_points` skips all five
+    distance checks, which its matrix meets by construction.
     """
 
     labels: tuple[str, ...]
@@ -610,16 +708,16 @@ class FiniteMetricSpace:
             raise ValueError(f"dist must be {n}x{n}, got {self.dist.shape}")
         if self.values.shape != (n,):
             raise ValueError(f"values must have length {n}, got {self.values.shape}")
-        if not np.isfinite(self.dist).all() or not np.isfinite(self.values).all():
+        if not np.isfinite(self.values).all() or not (_line_metric or np.isfinite(self.dist).all()):
             raise ValueError("distances and values must be finite")
+        if _line_metric:
+            return
         if (np.diagonal(self.dist) != 0.0).any():
             raise ValueError("dist diagonal must be exactly zero")
         if not np.array_equal(self.dist, self.dist.T):
             raise ValueError("dist must be symmetric")
         if (self.dist < 0.0).any():
             raise ValueError("distances must be nonnegative")
-        if _line_metric:
-            return
         if n > MAX_METRIC_POINTS:
             raise LevelTooLarge(
                 f"{n} points exceed the maximum {MAX_METRIC_POINTS} of a checked distance matrix"
@@ -633,8 +731,13 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_line_points(cls, xs, values=None, labels=None) -> "FiniteMetricSpace":
-        """Build the induced metric |x_i - x_j| from points on the line,
-        without the triangle check that every such matrix passes."""
+        """Build the induced metric |x_i - x_j| from points on the line.
+
+        With a finite span every rounded difference is finite, x - x is
+        +0.0 and fl(a - b) = -fl(b - a), so the matrix is finite, zero on
+        the diagonal, symmetric and nonnegative, and its rounding stays
+        inside the triangle check's slack: no distance check runs.
+        """
         xs = np.asarray(xs, dtype=np.float64)
         # a NaN or infinite coordinate gives a NaN or infinite span too
         with np.errstate(over="ignore", invalid="ignore"):
@@ -645,6 +748,6 @@ class FiniteMetricSpace:
             values = xs.copy()
         if labels is None:
             labels = tuple(f"p{i}" for i in range(xs.size))
-        dist = np.abs(xs[:, None] - xs[None, :])
-        np.fill_diagonal(dist, 0.0)
+        dist = np.subtract.outer(xs, xs)
+        np.abs(dist, out=dist)
         return cls(tuple(labels), dist, np.asarray(values, dtype=np.float64), _line_metric=True)

@@ -207,8 +207,8 @@ class TestOutputFormats:
             "--resolution", "4096", "--output", output,
         )
         assert code == 0, err
-        # the refinement's two endpoints and six levels of midpoints, then the grid
-        assert sizes == [2, 1, 2, 4, 8, 16, 32, 4096]
+        # the refinement's level-6 net, read level by level, then the grid
+        assert sizes == [65, 4096]
 
     def test_envelope_csv(self, capsys):
         code, out, _ = invoke(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from epsdelta import (
+    DomainError,
     Interval,
     LevelTooLarge,
     RefinementTrace,
@@ -315,6 +316,52 @@ class TestStreamingMatchesWholeLevels:
         assert trace.max_values[-2:] == [0.0, 1.0]
         assert trace.argmax[-1] == 0.375 + h
         assert trace.argmin[-1] == 0.25 + h
+
+
+class TestCoarseLevelsFromOneNet:
+    """Levels up to ``_COARSE`` are read off one evaluated net."""
+
+    @EACH_FUNCTION
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 3])
+    def test_matches_whole_levels_around_the_coarse_level(self, f, offset):
+        level = extremum._COARSE + offset
+        assert refine_extrema(f, level) == whole_level_trace(f, level)
+
+    @pytest.mark.parametrize("coarse", [0, 1, 5, 6])
+    @pytest.mark.parametrize(
+        "f", [PARABOLA, AWKWARD, tie_across_chunks(5), tie_across_chunks(6)],
+        ids=["parabola", "awkward", "tie-at-5", "tie-at-6"],
+    )
+    def test_any_coarse_level_gives_the_same_trace(self, monkeypatch, f, coarse):
+        monkeypatch.setattr(extremum, "_COARSE", coarse)
+        assert refine_extrema(f, 6) == whole_level_trace(f, 6)
+
+    def test_coarse_levels_take_one_evaluation(self, monkeypatch):
+        sizes = []
+
+        def counted(f, xs):
+            sizes.append(len(xs))
+            return evaluate_many(f, xs)
+
+        monkeypatch.setattr(extremum, "evaluate_many", counted)
+        c = extremum._COARSE
+        refine_extrema(COS40, c + 2)
+        assert sizes == [2 ** c + 1, 2 ** c, 2 ** (c + 1)]
+
+    # the poles lie on the level-1, -2 and -0 nets; the first one a
+    # level-by-level pass meets is named, not the leftmost
+    @pytest.mark.parametrize(
+        "text, offender",
+        [("1/(x-0.25)+1/(x-0.5)", "0.5"), ("1/(x-0.5)+1/(x-1)", "1.0"),
+         ("1/(x-0.25)+1/(x-0.375)", "0.25"), ("1/(x-0.3)", None)],
+    )
+    def test_error_names_the_point_level_order_meets_first(self, text, offender):
+        f = parse_function(f"expr({text},lo=0,hi=1)")
+        if offender is None:
+            refine_extrema(f, 4)
+            return
+        with pytest.raises(DomainError, match=rf"^f is non-finite at x={offender}$"):
+            refine_extrema(f, 4)
 
 
 class TestRefineMemoryCeiling:

@@ -158,6 +158,17 @@ class TestPiecewiseLinear:
             piecewise_linear_function([(0.0, 0.0)])
 
 
+    def test_breakpoint_arrays_are_built_once_and_kept_out_of_equality(self):
+        a = parse_function("pwl((0,0),(0.3,1),(1,0))").rule
+        b = piecewise_linear_function([(0, 0), (0.3, 1), (1, 0)]).rule
+        assert a == b and hash(a) == hash(b)
+        assert a != parse_function("pwl((0,0),(0.3,2),(1,0))").rule
+        assert repr(a) == "PiecewiseLinear(points=((0.0, 0.0), (0.3, 1.0), (1.0, 0.0)))"
+        assert a.px.tolist() == [0.0, 0.3, 1.0] and a.py.tolist() == [0.0, 1.0, 0.0]
+        with pytest.raises(ValueError):
+            a.px[0] = 1.0
+
+
 class TestExpression:
     def test_arithmetic(self):
         f = expression_function("x^2+1", 0.0, 1.0)
@@ -362,16 +373,48 @@ class TestDepthBound:
 class TestEvaluateMany:
     @pytest.mark.parametrize(
         "spec",
-        ["power(alpha=2,b=1)", "chainsaw", "poly(1,-3,1)", "pwl((0,0),(0.3,1),(1,0))",
-         "expr(sin(3*x)+x/2,lo=0,hi=2)"],
+        ["power(alpha=2,b=1)", "power(alpha=0.5,b=3)", "power(alpha=1.7,b=2)", "chainsaw",
+         "poly(1,-3,1)", "poly(0,0,0,1)", "pwl((0,0),(0.3,1),(1,0))",
+         "pwl((-1,2),(0,-0.5),(0.25,0.125),(3,7))", "expr(sin(3*x)+x/2,lo=0,hi=2)",
+         "expr(0.3*cos(x)+0.2,lo=0,hi=1)", "expr(x^0.5-abs(x-1)^3,lo=0,hi=2)"],
     )
     def test_matches_scalar_evaluate(self, spec):
         f = parse_function(spec)
         xs = np.linspace(f.domain.lo, f.domain.hi, 101)
         vals = evaluate_many(f, xs)
         assert vals.shape == xs.shape
-        for x, v in zip(xs[::10], vals[::10]):
-            assert evaluate(f, float(x)) == v
+        assert _bits([evaluate(f, float(x)) for x in xs]) == _bits(vals)
+        assert all(type(evaluate(f, x)) is float for x in (xs[0], float(xs[50])))
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-2.0, 6.0), (0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0)],
+    )
+    def test_scalar_evaluate_keeps_the_domain_handling(self, lo, hi):
+        # slack, clamp, signed zeros and the domain message are evaluate_many's
+        f = expression_function("x*1", lo, hi)
+        tol = DOMAIN_TOL_REL * f.domain.span
+        for x in (lo, hi, -0.0, 0.0, lo - tol / 2, hi + tol / 2, lo - tol, hi + tol,
+                  lo - 2 * tol, hi + 2 * tol, np.nan, np.inf, -np.inf, (lo + hi) / 2):
+            try:
+                want = evaluate_many(f, [x])
+            except DomainError as exc:
+                with pytest.raises(DomainError) as info:
+                    evaluate(f, x)
+                assert str(info.value) == str(exc)
+            else:
+                assert _bits([evaluate(f, x)]) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "text", ["1/(x-0.75)", "-1/(x-0.75)", "(x-0.75)/(x-0.75)", "sin(1/(x-0.75))", "1e300*x*1e300"]
+    )
+    def test_scalar_non_finite_value_message(self, text):
+        f = expression_function(text, 0.0, 1.0)
+        with pytest.raises(DomainError) as info:
+            evaluate(f, 0.75)
+        assert str(info.value) == "f is non-finite at x=0.75"
+        with pytest.raises(DomainError, match=r"^f is non-finite at x=0\.75$"):
+            evaluate_many(f, [0.75])
 
     def test_rejects_non_finite_input(self):
         f = power_function(2.0, 1.0)
@@ -501,7 +544,8 @@ def _bits(a):
 
 def _assert_same_evaluation(f, xs, want):
     """evaluate_many(f, xs) has the bits of ``want``, or the DomainError
-    that a non-finite value of ``want`` names; ``xs`` stays as it was."""
+    that a non-finite value of ``want`` names; ``xs`` stays as it was.
+    So does evaluate(f, x) at each point of ``xs``."""
     before = _bits(xs)
     finite = np.isfinite(want)
     if finite.all():
@@ -510,6 +554,13 @@ def _assert_same_evaluation(f, xs, want):
         with pytest.raises(DomainError) as info:
             evaluate_many(f, xs)
         assert str(info.value) == f"f is non-finite at x={float(xs[np.argmax(~finite)])!r}"
+    for x, w, ok in zip(xs.tolist(), want.tolist(), finite.tolist()):
+        if ok:
+            assert _bits([evaluate(f, x)]) == _bits([w]), x
+        else:
+            with pytest.raises(DomainError) as info:
+                evaluate(f, x)
+            assert str(info.value) == f"f is non-finite at x={x!r}"
     assert _bits(xs) == before
 
 
@@ -529,7 +580,11 @@ class TestEvaluationBits:
         ["x^0.5", "x^2", "x^3", "x^-1", "x^(-1)", "2^x", "0.5^x", "(-0)^x", "0^x", "pi^(x*2)",
          "(x+1)^0.5", "(x*x)^2", "sin(x)^3", "2^3", "(-1)^0.5", "2^0.5", "0^-1", "x^x",
          "sin(2)", "cos(-0)", "abs(-0)", "-0", "0", "-(0)", "sin(pi)+cos(1)*2", "sin(0)*x",
-         "abs(-0)+x*0", "x*-0", "-0/x", "1/x", "x-x", "-x", "abs(x)-cos(x)", "x", "1e300*x*x"],
+         "abs(-0)+x*0", "x*-0", "-0/x", "1/x", "x-x", "-x", "abs(x)-cos(x)", "x", "1e300*x*x",
+         # x/0 is numpy's signed inf or NaN on one point too, and pow of a NaN
+         # or inf can be finite again
+         "1/(1/x)", "-1/(1/x)", "x/0", "x/-0", "0/(x*0)", "(x*0/0)^0", "1^(0/(x*0))",
+         "sin(1/x)^0", "1^cos(1/x)", "cos(1/x)*0", "0^(1/x)", "0.5^(-1/x)", "(1/x)^-1", "1e300*x*1e300-1/x"],
     )
     def test_matches_full_array_evaluation(self, text):
         self.check_tree(expression_function(text, -2.0, 3.0).rule.tree)
@@ -717,10 +772,20 @@ class TestFiniteMetricSpace:
     @example([0.0, 0.1, 0.3, 0.7, 1.0, 0.1])
     @example([1e300, -1e300, 3e-300, -1e-300, 0.0])
     def test_line_points_pass_the_triangle_check(self, xs):
-        # from_line_points skips the cubic check: run it here instead
+        # from_line_points skips the distance checks: run them here instead
         sp = FiniteMetricSpace.from_line_points(xs)
         assert sp.size == len(xs)
+        assert np.isfinite(sp.dist).all()
+        assert (np.diagonal(sp.dist) == 0.0).all()
+        assert np.array_equal(sp.dist, sp.dist.T)
+        assert (sp.dist >= 0.0).all()
         assert not _triangle_violated(sp.dist)
+        # the bits of the matrix as it was formed before: one broadcast
+        # difference, its absolute value, a zeroed diagonal
+        a = np.asarray(xs, dtype=np.float64)
+        want = np.abs(a[:, None] - a[None, :])
+        np.fill_diagonal(want, 0.0)
+        assert _bits(sp.dist) == _bits(want)
 
     @pytest.mark.parametrize(
         "xs", [[0.0, np.inf], [-np.inf, 0.0], [np.inf, np.inf], [np.nan, 1.0], [1e308, -1e308]]
@@ -730,7 +795,20 @@ class TestFiniteMetricSpace:
         with pytest.raises(ValueError, match="span must be finite"):
             FiniteMetricSpace.from_line_points(xs)
 
-    def test_line_points_skip_only_the_cubic_check(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "d, message",
+        [([[0.0, np.inf], [np.inf, 0.0]], "must be finite"),
+         ([[0.0, 1.0], [1.0, 1e-300]], "diagonal must be exactly zero"),
+         ([[0.0, 1.0], [np.nextafter(1.0, 2.0), 0.0]], "must be symmetric"),
+         ([[0.0, -1.0], [-1.0, 0.0]], "must be nonnegative"),
+         ([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]], "triangle inequality violated")],
+    )
+    def test_a_matrix_passed_in_meets_each_check(self, d, message):
+        d = np.array(d)
+        with pytest.raises(ValueError, match=message):
+            FiniteMetricSpace(tuple(range(len(d))), d, np.zeros(len(d)))
+
+    def test_line_points_skip_the_distance_checks(self, monkeypatch):
         def never(d):
             raise AssertionError("cubic check ran")
 

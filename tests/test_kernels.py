@@ -208,6 +208,21 @@ class TestChainsawKernel:
     def test_zero_and_negative_clamp(self):
         assert _kernels.chainsaw_values(np.array([0.0, -0.5])).tolist() == [0.0, 0.0]
 
+    def test_one_point_form_has_the_array_bits(self):
+        # tooth edges 1/n and zeros 2/(2n+1) with their float neighbours,
+        # where the rounding of 1/t needs the corrections; tiny, subnormal,
+        # signed-zero and NaN points; random points on many teeth
+        n = np.arange(1.0, 3000.0)
+        edges = np.concatenate((1.0 / n, 2.0 / (2.0 * n + 1.0), [1e-300, 5e-324, 1e-40, 1e-19]))
+        rng = np.random.default_rng(2)
+        ts = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                             [0.0, -0.0, -0.5, np.nan, np.finfo(np.float64).tiny],
+                             rng.uniform(0.0, 1.0, 2000), 10.0 ** rng.uniform(-12, 0, 2000)))
+        got = [_kernels.chainsaw_value(t) for t in ts.tolist()]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).view(np.int64).tolist() == _kernels.chainsaw_values(ts).view(
+            np.int64).tolist()
+
 
 @st.composite
 def tie_heavy_inputs(draw):
@@ -749,6 +764,21 @@ class TestWindowExtremes:
         for steps in (0.5, 1.0, 3.0, 10.0, 40.0, 150.0, 299.0, math.inf):
             delta = steps / (n - 1)
             assert _kernels.max_gap_within(x, fx, delta) == naive_max_gap_within(x, fx, delta)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_delta_a_multiple_of_the_dyadic_step(self, k):
+        # x[i] + nextafter(delta) rounds onto x[i + k] on every row: each
+        # window's search first misses by one point
+        x = np.linspace(0.0, 1.0, 4097)
+        fx = np.sin(40.0 * x) + np.random.default_rng(k).normal(0.0, 1e-3, x.size)
+        delta = k / 4096
+        # the pairwise definition, one row at a time
+        want = max(float(np.abs(fx[i + 1:][x[i + 1:] - x[i] <= delta] - fx[i]).max(initial=0.0))
+                   for i in range(x.size))
+        assert _kernels.max_gap_within(x, fx, delta) == want
+        for d in (delta, np.nextafter(delta, 0.0)):
+            assert _kernels.max_gap_within(x[:300], fx[:300], d) == naive_max_gap_within(
+                x[:300], fx[:300], d)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_window_ends_on_a_pair_distance(self, kind):
