@@ -456,15 +456,3 @@ def chainsaw_values(t: np.ndarray) -> np.ndarray:
     n = np.where((n > 1.0) & (v > 1.0 / n), n - 1.0, n)
     out[pos] = np.abs((2.0 * n + 1.0) * v - 2.0)
     return out
-
-
-def chainsaw_value(t: float) -> float:
-    """`chainsaw_values` at one float, operation for operation."""
-    if not t >= _TINY:
-        return 0.0
-    n = max(float(math.floor(1.0 / t)), 1.0)
-    if t < 1.0 / (n + 1.0):
-        n += 1.0
-    if n > 1.0 and t > 1.0 / n:
-        n -= 1.0
-    return abs((2.0 * n + 1.0) * t - 2.0)

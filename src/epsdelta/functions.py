@@ -105,7 +105,7 @@ class Chainsaw:
         return _kernels.chainsaw_values(xc)
 
     def value(self, xc: float) -> float:
-        return _kernels.chainsaw_value(xc)
+        return float(_kernels.chainsaw_values(np.array([xc]))[0])
 
 
 @dataclass(frozen=True)
