@@ -15,7 +15,7 @@ Three routes compute it:
   upper bound for the true infimum, sharpened by zooming in around the
   best pair found;
 * closed forms (`optimal_delta_closed_form`) for the power family and
-  the sawtooth's jump points;
+  the sawtooth's jump points, each its rule's ``exact_delta`` method;
 * an exhaustive scan over a finite metric space
   (`optimal_delta_finite`), which is the module's exact oracle.
 
@@ -31,15 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptyLevelSet, OutOfRange, UnsupportedFamily
-from .functions import (
-    Chainsaw,
-    FiniteMetricSpace,
-    PowerFamily,
-    RealFunction,
-    canonical_text,
-    evaluate_many,
-    sample_grid,
-)
+from .functions import FiniteMetricSpace, RealFunction, canonical_text, evaluate_many, sample_grid
 
 # Pairs count toward the level set when their gap reaches
 # eps * (1 - GAP_SLACK_REL): the float image of an exact boundary pair
@@ -257,54 +249,8 @@ def optimal_delta_closed_form(f: RealFunction, epsilon: float) -> DeltaSample:
     """
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    rule = f.rule
-    if isinstance(rule, PowerFamily):
-        alpha, b = rule.alpha, rule.b
-        try:
-            spread = b ** alpha
-            if not (epsilon < spread):
-                raise OutOfRange(
-                    f"epsilon must be below the range spread {spread!r}, got {epsilon!r}"
-                )
-            if alpha >= 1.0:
-                delta = b - (spread - epsilon) ** (1.0 / alpha)
-            else:
-                delta = epsilon ** (1.0 / alpha)
-        except OverflowError:
-            raise OutOfRange(
-                f"power closed form overflows a float for alpha={alpha!r}, b={b!r}"
-            ) from None
-        # the formula underflows (alpha < 1) or cancels (alpha >= 1)
-        if not (delta > 0.0):
-            raise OutOfRange(
-                f"power closed form rounds delta to {delta!r} at epsilon {epsilon!r}"
-            )
-        return DeltaSample(float(epsilon), float(delta), METHOD_CLOSED_FORM, BIAS_EXACT)
-    if isinstance(rule, Chainsaw):
-        n = _chainsaw_jump_index(epsilon)
-        if n is None:
-            raise OutOfRange(
-                f"sawtooth closed form needs epsilon = 1/n for a whole n >= 1, got {epsilon!r}"
-            )
-        delta = 1.0 / (n * (2.0 * n + 1.0))
-        if delta == 0.0:
-            raise OutOfRange(
-                f"sawtooth closed form underflows below epsilon about 1e-154, got {epsilon!r}"
-            )
-        return DeltaSample(float(epsilon), float(delta), METHOD_CLOSED_FORM, BIAS_EXACT)
-    raise UnsupportedFamily(f"no closed form for {type(rule).__name__}")
-
-
-def _chainsaw_jump_index(epsilon: float) -> float | None:
-    """The whole n, as a float (inf where 1/epsilon overflows), such that
-    epsilon is 1/n up to rounding, else None."""
-    if not (0.0 < epsilon <= 1.0):
-        return None
-    n = round(1.0 / epsilon, 0)
-    # accept the float nearest 1/n, reject anything a real offset away
-    if abs(epsilon - 1.0 / n) > 4.0 * np.spacing(1.0 / n):
-        return None
-    return n
+    delta = f.rule.exact_delta(epsilon)
+    return DeltaSample(float(epsilon), float(delta), METHOD_CLOSED_FORM, BIAS_EXACT)
 
 
 def optimal_delta_finite(space: FiniteMetricSpace, epsilon: float) -> DeltaSample:

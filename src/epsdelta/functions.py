@@ -31,7 +31,7 @@ from math import inf as _INF, pi as _PI
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, LevelTooLarge, ParseError
+from .errors import DomainError, LevelTooLarge, OutOfRange, ParseError, UnsupportedFamily
 
 # relative slack for accepting points a hair outside the domain
 DOMAIN_TOL_REL: float = 2.0 ** -40
@@ -73,8 +73,29 @@ class Interval:
 # ---------------------------------------------------------------------------
 
 
+class Rule:
+    """Base of the five rule families, each of which owns its behaviour.
+
+    ``values`` takes the clamped points ``xc``, a float64 array, to a
+    fresh one, and runs with numpy's floating-point errors silenced;
+    ``value`` takes one float to a float with the bits ``values`` gives
+    that point at any array length, and raises no warning.  Either may
+    give non-finite values; evaluate_many and evaluate reject them.
+    ``text(domain)`` is the canonical spec, ``anchors()`` the points
+    `anchor_points` clips to the domain, and ``exact_delta(eps)`` the
+    optimal tolerance by formula or OutOfRange.  The defaults below give
+    no anchors and no formula (UnsupportedFamily).
+    """
+
+    def anchors(self) -> np.ndarray:
+        return np.empty(0, dtype=np.float64)
+
+    def exact_delta(self, eps: float) -> float:
+        raise UnsupportedFamily(f"no closed form for {type(self).__name__}")
+
+
 @dataclass(frozen=True)
-class PowerFamily:
+class PowerFamily(Rule):
     """x**alpha on [0, b] with alpha > 0, b > 0."""
 
     alpha: float
@@ -95,9 +116,31 @@ class PowerFamily:
         with np.errstate(over="ignore"):
             return float((np.array([xc]) ** self.alpha)[0])
 
+    def text(self, domain: Interval) -> str:
+        return f"power(alpha={_fmt(self.alpha)},b={_fmt(self.b)})"
+
+    def exact_delta(self, eps: float) -> float:
+        alpha, b = self.alpha, self.b
+        try:
+            spread = b ** alpha
+            if not (eps < spread):
+                raise OutOfRange(f"epsilon must be below the range spread {spread!r}, got {eps!r}")
+            if alpha >= 1.0:
+                delta = b - (spread - eps) ** (1.0 / alpha)
+            else:
+                delta = eps ** (1.0 / alpha)
+        except OverflowError:
+            raise OutOfRange(
+                f"power closed form overflows a float for alpha={alpha!r}, b={b!r}"
+            ) from None
+        # the formula underflows (alpha < 1) or cancels (alpha >= 1)
+        if not (delta > 0.0):
+            raise OutOfRange(f"power closed form rounds delta to {delta!r} at epsilon {eps!r}")
+        return delta
+
 
 @dataclass(frozen=True)
-class Chainsaw:
+class Chainsaw(Rule):
     """Decreasing sawtooth on [0, 1]: tooth n on [1/(n+1), 1/n] has value
     |(2n+1)t - 2|, zero at 2/(2n+1), peak 1/n at the right edge; f(0) = 0."""
 
@@ -107,9 +150,33 @@ class Chainsaw:
     def value(self, xc: float) -> float:
         return float(_kernels.chainsaw_values(np.array([xc]))[0])
 
+    def text(self, domain: Interval) -> str:
+        return "chainsaw"
+
+    def anchors(self) -> np.ndarray:
+        # peaks and zeros of the first teeth, where the optimal tolerance sits
+        m = np.arange(1, CHAINSAW_ANCHOR_TEETH + 1, dtype=np.float64)
+        return np.concatenate(([0.0], 1.0 / m, 2.0 / (2.0 * m + 1.0)))
+
+    def exact_delta(self, eps: float) -> float:
+        # n is the whole number, as a float (inf where 1/eps overflows), with
+        # eps = 1/n up to rounding: the float nearest 1/n passes, a real
+        # offset from it does not
+        n = round(1.0 / eps, 0) if 0.0 < eps <= 1.0 else None
+        if n is None or abs(eps - 1.0 / n) > 4.0 * np.spacing(1.0 / n):
+            raise OutOfRange(
+                f"sawtooth closed form needs epsilon = 1/n for a whole n >= 1, got {eps!r}"
+            )
+        delta = 1.0 / (n * (2.0 * n + 1.0))
+        if delta == 0.0:
+            raise OutOfRange(
+                f"sawtooth closed form underflows below epsilon about 1e-154, got {eps!r}"
+            )
+        return delta
+
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Rule):
     """Polynomial with ascending coefficients: c0 + c1*x + c2*x^2 + ..."""
 
     coefficients: tuple[float, ...]
@@ -137,9 +204,12 @@ class Polynomial:
             acc = float(ci) + acc * xc
         return acc
 
+    def text(self, domain: Interval) -> str:
+        return "poly(" + ",".join(_fmt(c) for c in self.coefficients) + ")"
+
 
 @dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(Rule):
     """Linear interpolation through breakpoints with strictly increasing x.
 
     ``px`` and ``py`` hold the breakpoints' coordinates as read-only
@@ -168,9 +238,15 @@ class PiecewiseLinear:
     def value(self, xc: float) -> float:
         return float(np.interp(xc, self.px, self.py))
 
+    def text(self, domain: Interval) -> str:
+        return "pwl(" + ",".join(f"({_fmt(x)},{_fmt(y)})" for x, y in self.points) + ")"
+
+    def anchors(self) -> np.ndarray:
+        return self.px
+
 
 @dataclass(frozen=True)
-class Expression:
+class Expression(Rule):
     """Expression tree over x; nodes are nested tuples, e.g. ("sin", ("x",))."""
 
     tree: tuple
@@ -186,14 +262,8 @@ class Expression:
     def value(self, xc: float) -> float:
         return _eval_point(self.tree, xc)
 
-
-# Each rule maps the clamped points ``xc`` to values two ways: ``values``
-# takes a float64 array to a fresh one, and runs with numpy's
-# floating-point errors silenced; ``value`` takes one float to a float
-# with the bits ``values`` gives that point at any array length, and
-# raises no warning.  Either may give non-finite values; evaluate_many
-# and evaluate reject them.
-Rule = PowerFamily | Chainsaw | Polynomial | PiecewiseLinear | Expression
+    def text(self, domain: Interval) -> str:
+        return f"expr({_expr_text(self.tree)},lo={_fmt(domain.lo)},hi={_fmt(domain.hi)})"
 
 
 @dataclass(frozen=True)
@@ -404,14 +474,7 @@ def anchor_points(f: RealFunction) -> np.ndarray:
     optimal tolerance is attained; a uniform grid almost never hits them.
     Smooth families need no anchors.
     """
-    rule = f.rule
-    if isinstance(rule, Chainsaw):
-        m = np.arange(1, CHAINSAW_ANCHOR_TEETH + 1, dtype=np.float64)
-        pts = np.concatenate(([0.0], 1.0 / m, 2.0 / (2.0 * m + 1.0)))
-    elif isinstance(rule, PiecewiseLinear):
-        pts = rule.px
-    else:
-        return np.empty(0, dtype=np.float64)
+    pts = f.rule.anchors()
     lo, hi = f.domain.lo, f.domain.hi
     return np.unique(pts[(pts >= lo) & (pts <= hi)])
 
@@ -451,19 +514,7 @@ def canonical_text(f: RealFunction) -> str:
     """Round-trippable text form: parse_function(canonical_text(f)) has
     an identical rule.  A signed exponent prints in parentheses (x^-y as
     x^(-y)), one level more, so the text may nest past the depth bound."""
-    rule = f.rule
-    if isinstance(rule, PowerFamily):
-        return f"power(alpha={_fmt(rule.alpha)},b={_fmt(rule.b)})"
-    if isinstance(rule, Chainsaw):
-        return "chainsaw"
-    if isinstance(rule, Polynomial):
-        return "poly(" + ",".join(_fmt(c) for c in rule.coefficients) + ")"
-    if isinstance(rule, PiecewiseLinear):
-        pts = ",".join(f"({_fmt(x)},{_fmt(y)})" for x, y in rule.points)
-        return f"pwl({pts})"
-    if isinstance(rule, Expression):
-        return f"expr({_expr_text(rule.tree)},lo={_fmt(f.domain.lo)},hi={_fmt(f.domain.hi)})"
-    raise TypeError(f"unknown rule type {type(rule).__name__}")
+    return f.rule.text(f.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from epsdelta import (
     UnsupportedFamily,
     build_profile,
     chainsaw_function,
+    expression_function,
     modulus_of_continuity,
     optimal_delta_closed_form,
     optimal_delta_finite,
@@ -131,6 +132,8 @@ class TestClosedForm:
             optimal_delta_closed_form(polynomial_function([0, 1, -1]), 0.1)
         with pytest.raises(UnsupportedFamily):
             optimal_delta_closed_form(IDENTITY, 0.1)
+        with pytest.raises(UnsupportedFamily):
+            optimal_delta_closed_form(expression_function("x*x", 0, 1), 0.1)
 
 
 def sawtooth_delta(eps):

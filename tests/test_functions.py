@@ -683,6 +683,7 @@ class TestAnchorPoints:
     def test_smooth_families_have_none(self):
         assert anchor_points(power_function(2, 1)).size == 0
         assert anchor_points(polynomial_function([1, 2])).size == 0
+        assert anchor_points(expression_function("x*x", 0, 1)).size == 0
 
 
 class TestFiniteMetricSpace:
