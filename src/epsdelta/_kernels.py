@@ -2,28 +2,29 @@
 
 The hit scans ``min_dist_pair`` and ``find_violation`` run in stages.
 
-1. The direct stage compares all pairs ``(i, i + d)`` at once for the
+1. ``min_dist_pair`` takes monotone values first.  Where finite ``fx``
+   never falls and ``0 < eps < inf``, no downward hit exists, and each
+   row's first upward hit ``fx[j] - fx[i] >= eps`` is its closest: one
+   ``searchsorted`` of ``fx[i] + eps`` in ``fx``, then a bisection on
+   the test itself for the rows where that rounded sum lands off.
+   Values that never rise are the mirror case.  The stages below run
+   in ``min_dist_pair`` only on values that are not monotone.
+2. The direct stage compares all pairs ``(i, i + d)`` at once for the
    offsets d = 1, ..., 16 and stops as soon as the smallest abscissa gap
    at the current offset rules out every later offset.  A pair at
    offset 16 or less lies in two neighbouring blocks of 16 points, so
    ``min_dist_pair`` runs this stage only where two such blocks hold
    values eps apart.
-2. ``min_dist_pair`` then reads most rows' first hits off the running
+3. ``min_dist_pair`` then reads most rows' first hits off the running
    extremes of ``fx``.  Take the upward hits ``fx[j] - fx[i] >= eps``;
    the downward ones are the upward hits of ``-fx``.  Where no point up
    to row i lies eps above ``fx[i]``, the row's first hit is the first j
-   with ``P[j] - fx[i] >= eps`` for the running maximum P: one
-   ``searchsorted`` of ``fx[i] + eps`` in P, then a bisection on the
-   test itself for the rows where that rounded sum lands off.  Where
-   some point does, the row has no upward hit unless the largest value
-   past it lies eps above, and only then is it left to the lifting
-   stage.  Two disjoint windows that each span less than eps leave no
-   row to it.  Monotone values take a shorter way: where finite ``fx``
-   never falls and ``0 < eps < inf``, no downward hit exists, so that
-   side is skipped, and ``fx`` is its own running maximum, so its block
-   extremes are the block ends and every row's first hit is the one
-   ``searchsorted``.  Values that never rise are the mirror case.
-3. The lifting stage walks every row that is left (every row, in
+   with ``P[j] - fx[i] >= eps`` for the running maximum P: the
+   ``searchsorted`` and bisection of stage 1 on P.  Where some point
+   does, the row has no upward hit unless the largest value past it
+   lies eps above, and only then is it left to the lifting stage.  Two
+   disjoint windows that each span less than eps leave no row to it.
+4. The lifting stage walks every row that is left (every row, in
    ``find_violation``) over the blocks of 16 points past its own, by
    binary lifting on a sparse table of block maxima and minima of
    ``fx`` (the block decomposition of Bender & Farach-Colton, "The LCA
@@ -131,19 +132,18 @@ def min_dist_pair(x: np.ndarray, fx: np.ndarray, eps: float):
     if n < 2:
         return pair
     trend = _trend(fx, eps)
-    top, bot = _block_extremes(fx, trend)
-    # a pair at offset <= 16 lies in two neighbouring blocks
-    done = n <= _BLOCK + 1
-    if _spans(top, bot, eps):
-        pair, done = _scan_offsets(x, fx, eps)
-    if done:
-        return pair
     if trend:
         # only hits along the trend exist, and its values are their own
         # running maximum: every row's first hit is read off them
         g = fx if trend > 0 else -fx
         rows = np.flatnonzero(g[-1] - g >= eps)
-        return min(pair, _closest(x, rows, _first_reaching(g, g[rows], eps)))
+        return _closest(x, rows, _first_reaching(g, g[rows], eps))
+    # a pair at offset <= 16 lies in two neighbouring blocks
+    done = n <= _BLOCK + 1
+    if _spans(*_block_extremes(fx), eps):
+        pair, done = _scan_offsets(x, fx, eps)
+    if done:
+        return pair
     if np.isfinite(eps) and np.isfinite(fx).all():
         walk = np.zeros(n, dtype=bool)
         for g in (fx, -fx):  # hits upward, then downward as upward hits of -fx
@@ -367,16 +367,9 @@ def _row_chunks(n: int, stop: int, rows: np.ndarray):
         yield rows[start:start + _CHUNK]
 
 
-def _block_extremes(fx: np.ndarray, trend: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _block_extremes(fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The largest and the smallest value in each block of ``_BLOCK``
-    points, skipping NaN; read off the block ends where ``trend`` says
-    that ``fx`` never falls (1) or never rises (-1)."""
-    if trend:
-        first = fx[::_BLOCK]
-        last = fx[_BLOCK - 1::_BLOCK]
-        if fx.size % _BLOCK:
-            last = np.append(last, fx[-1])
-        return (last, first) if trend > 0 else (first, last)
+    points, skipping NaN."""
     starts = np.arange(0, fx.size, _BLOCK)
     return np.fmax.reduceat(fx, starts), np.fmin.reduceat(fx, starts)
 

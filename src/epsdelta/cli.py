@@ -21,12 +21,17 @@ from .delta import (
     optimal_delta_grid,
     verify_largest_delta,
 )
-from .errors import EpsDeltaError, ParseError
+from .errors import EpsDeltaError, LevelTooLarge, ParseError
 from .extremum import _certified_bound, envelope, refine_extrema
 from .functions import _NUMBER, Interval, Polynomial, RealFunction, _Parser, parse_function
 from .intermediate import bisect_boundary, classical_ivt, fixed_point, parse_target_set
 from .serialize import csv_text, json_text
 
+
+# rows of an envelope the CLI prints: it builds them as Python lists, then
+# text, about 400 bytes a row (1.7 GB at 2^22 + 1 rows), so the 2^24 + 1
+# point budget would need about 6.8 GB
+MAX_ENVELOPE_ROWS: int = 2 ** 22 + 1
 
 # argparse's own pattern has no exponent and no inf, so it would read
 # -1e3 or -inf as an option
@@ -148,6 +153,9 @@ def _dispatch(args: argparse.Namespace) -> str:
         rows = [(args.delta, modulus_of_continuity(f, args.delta, args.resolution))]
         doc = dict(zip(columns, rows[0]))
     elif args.command == "envelope":
+        if args.resolution > MAX_ENVELOPE_ROWS:
+            raise LevelTooLarge(f"resolution {args.resolution} exceeds the maximum "
+                                f"{MAX_ENVELOPE_ROWS} rows of a printed envelope")
         columns, rows = ("x", "g"), envelope(f, args.resolution).tolist()
         doc = {"points": rows}
     elif args.command == "maximize":

@@ -58,4 +58,5 @@ class NotSelfMap(EpsDeltaError):
 class LevelTooLarge(EpsDeltaError):
     """An input would exceed a supported point budget: 2^MAX_NET_LEVEL + 1
     points for a dyadic net level or a grid resolution, MAX_METRIC_POINTS
-    for a distance matrix checked for the triangle inequality."""
+    for a distance matrix checked for the triangle inequality, and
+    cli.MAX_ENVELOPE_ROWS (2^22 + 1) rows for an envelope the CLI prints."""

@@ -84,8 +84,13 @@ class Rule:
     ``text(domain)`` is the canonical spec, ``anchors()`` the points
     `anchor_points` clips to the domain, and ``exact_delta(eps)`` the
     optimal tolerance by formula or OutOfRange.  The defaults below give
-    no anchors and no formula (UnsupportedFamily).
+    ``value`` as ``values`` on a one-point array, with evaluate_many's
+    errors silenced, no anchors and no formula (UnsupportedFamily).
     """
+
+    def value(self, xc: float) -> float:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return float(self.values(np.array([xc]))[0])
 
     def anchors(self) -> np.ndarray:
         return np.empty(0, dtype=np.float64)
@@ -109,12 +114,6 @@ class PowerFamily(Rule):
 
     def values(self, xc: np.ndarray) -> np.ndarray:
         return xc ** self.alpha
-
-    def value(self, xc: float) -> float:
-        # ``**`` on a one-point array takes the loops it takes on any
-        # array: numpy's square and sqrt for alpha 2 and 0.5
-        with np.errstate(over="ignore"):
-            return float((np.array([xc]) ** self.alpha)[0])
 
     def text(self, domain: Interval) -> str:
         return f"power(alpha={_fmt(self.alpha)},b={_fmt(self.b)})"
@@ -146,9 +145,6 @@ class Chainsaw(Rule):
 
     def values(self, xc: np.ndarray) -> np.ndarray:
         return _kernels.chainsaw_values(xc)
-
-    def value(self, xc: float) -> float:
-        return float(_kernels.chainsaw_values(np.array([xc]))[0])
 
     def text(self, domain: Interval) -> str:
         return "chainsaw"
@@ -234,9 +230,6 @@ class PiecewiseLinear(Rule):
 
     def values(self, xc: np.ndarray) -> np.ndarray:
         return np.interp(xc, self.px, self.py)
-
-    def value(self, xc: float) -> float:
-        return float(np.interp(xc, self.px, self.py))
 
     def text(self, domain: Interval) -> str:
         return "pwl(" + ",".join(f"({_fmt(x)},{_fmt(y)})" for x, y in self.points) + ")"
@@ -426,8 +419,8 @@ def evaluate(f: RealFunction, x: float) -> float:
     """Evaluate f at one point: ``evaluate_many(f, [x])[0]`` bit for bit.
 
     The domain slack, the clamp, the DomainErrors and their messages
-    are `evaluate_many`'s, but the work is done on Python floats, with
-    numpy only where a family's bits depend on its loops.
+    are `evaluate_many`'s, and the work is the rule's ``value``: Python
+    floats for poly and expr, ``values`` on one point for the rest.
     """
     x = float(x)
     lo, hi = f.domain.lo, f.domain.hi

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from epsdelta import MAX_NET_LEVEL, EpsDeltaError, extremum, functions
-from epsdelta.cli import run
+from epsdelta.cli import MAX_ENVELOPE_ROWS, run
 from epsdelta.serialize import json_text
 
 
@@ -412,6 +415,19 @@ class TestExitCodes:
         assert "exceeds the maximum" in err
         assert peak < 2 ** 20
 
+    def test_envelope_past_row_budget_is_one(self, capsys, monkeypatch):
+        def no_grid(f, resolution, include_anchors=False):
+            raise AssertionError(f"sampled a grid of {resolution} points")
+
+        monkeypatch.setattr(extremum, "sample_grid", no_grid)
+        over = MAX_ENVELOPE_ROWS + 1
+        assert over == 2 ** 22 + 2
+        code, out, err = invoke(capsys, "envelope", "--fn", "poly(0.1,0.5,-1)",
+                                "--resolution", str(over))
+        assert (code, out) == (1, "")
+        assert err == (f"error: resolution {over} exceeds the maximum "
+                       f"{2 ** 22 + 1} rows of a printed envelope\n")
+
     def test_domain_flags_rejected_for_fixed_families(self, capsys):
         code, _, err = invoke(
             capsys, "delta", "--fn", "chainsaw", "--eps", "0.5", "--lo", "0", "--hi", "2"
@@ -564,6 +580,32 @@ class TestReadmeExamples:
         code, out, err = invoke(capsys, *argv)
         assert code == 0, err
         assert out.endswith("\n")
+
+
+class TestProcess:
+    """``python -m epsdelta.cli`` in a process of its own: ``main`` and the
+    module's ``__main__`` block, which the tests above do not reach."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (readme_commands()[0], 0),
+            (["delta", "--fn", "chainsaw(", "--eps", "0.5"], 2),
+            (["ivt", "--fn", "poly(0,1)", "--c", "5", "--steps", "3"], 1),
+        ],
+        ids=["readme", "parse-error", "no-answer"],
+    )
+    def test_exit_code_and_streams(self, capsys, argv, code):
+        src = Path(__file__).resolve().parents[1] / "src"
+        p = subprocess.run([sys.executable, "-m", "epsdelta.cli", *argv],
+                           env=dict(os.environ, PYTHONPATH=str(src)),
+                           capture_output=True, timeout=60)
+        assert p.returncode == code, p.stderr
+        if code == 0:
+            assert p.stdout == invoke(capsys, *argv)[1].encode()
+        else:
+            assert p.stdout == b""
+            assert b"error:" in p.stderr
 
 
 class TestDomainFlags:

@@ -605,7 +605,6 @@ class TestRunningExtremes:
         # plus half an ulp, which rounds to inf
         top = float(np.finfo(np.float64).max)
         x = np.linspace(0.0, 1.0, 300)
-        x[100:170] = x[100]  # keeps the direct stages from settling
         fx = np.full(300, 3 * 2.0 ** 970)
         fx[-1] = top
         eps = float(fx[-1] - fx[0])
@@ -631,20 +630,21 @@ class TestRunningExtremes:
                                       "expr(3-x^3,lo=-1,hi=2)", "poly(0,1,1)"])
     def test_monotone_values_never_walk(self, spec, monkeypatch):
         def walk(*args):
-            raise AssertionError("a row of monotone values reached the block walk")
+            raise AssertionError("monotone values reached a block stage")
 
         x, fx = _grid(spec)
-        monkeypatch.setattr(_kernels, "_first_hits", walk)
-        monkeypatch.setattr(_kernels, "_block_tables", walk)
+        for stage in ("_block_extremes", "_scan_offsets", "_first_hits", "_block_tables"):
+            monkeypatch.setattr(_kernels, stage, walk)
         spread = float(fx.max() - fx.min())
         for eps in (0.01 * spread, 0.5 * spread, spread):
             assert _kernels.min_dist_pair(x, fx, eps) == blocked_min_dist_pair(x, fx, eps)
 
 
 def monotone_inputs(seed, n, trend, step=0.1):
-    """Sorted abscissas with 70 repeats of one value, which keep the direct
-    stages from settling, and values that never fall (trend 1) or never
-    rise (-1): plateaus of values rounded to ``step``, zeros of both signs."""
+    """Sorted abscissas with a run of up to 70 repeats of one value, so
+    that many pairs tie at distance 0, and values that never fall
+    (trend 1) or never rise (-1): plateaus of values rounded to
+    ``step``, zeros of both signs."""
     rng = np.random.default_rng(seed)
     x = np.sort(rng.uniform(0.0, 1.0, n))
     x[n // 3:n // 3 + 70] = x[n // 3]
@@ -696,19 +696,18 @@ class TestMonotoneValues:
         assert _kernels._trend(fx, 0.5) == 0
         assert _kernels.min_dist_pair(x, fx, 0.5) == naive_min_dist_pair(x, fx, 0.5)
 
-    @pytest.mark.parametrize("n", [16, 17, 31, 32, 33, 100])
-    def test_block_ends_are_block_extremes(self, n):
-        fx = np.sort(np.random.default_rng(n).uniform(-1.0, 1.0, n))
-        for trend, g in ((1, fx), (-1, fx[::-1].copy())):
-            got = _kernels._block_extremes(g, trend)
-            want = _kernels._block_extremes(g)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
     @given(st.integers(min_value=2, max_value=300), st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.sampled_from([1, -1]), st.sampled_from([0.001, 0.1, 0.5]),
            st.one_of(st.sampled_from([0.0, -0.25, math.nan, 0.3, 1.9]),
                      st.tuples(st.integers(0, 299), st.integers(0, 299), st.sampled_from([-1, 0, 1]))))
     @settings(max_examples=60, deadline=None, derandomize=True)
+    # sizes that the direct stage alone decides for values that are not
+    # monotone: a pair, one block, a block and a point; the second has no pair
+    @example(2, 1, -1, 0.5, (0, 1, 0))
+    @example(2, 0, 1, 0.1, 0.3)
+    @example(16, 3, -1, 0.1, (2, 9, 1))
+    @example(16, 0, 1, 0.1, (0, 15, 0))
+    @example(17, 0, -1, 0.001, (0, 16, -1))
     def test_property_matches_oracle(self, n, seed, trend, step, eps):
         x, fx = monotone_inputs(seed, n, trend, step)
         if isinstance(eps, tuple):  # one pair's gap, or the float below or above it
