@@ -696,6 +696,23 @@ class TestMonotoneValues:
         assert _kernels._trend(fx, 0.5) == 0
         assert _kernels.min_dist_pair(x, fx, 0.5) == naive_min_dist_pair(x, fx, 0.5)
 
+    @pytest.mark.parametrize("n", [16, 17, 31, 32, 33, 100])
+    def test_block_edge_sizes(self, n):
+        # sizes at a block's edge: one block, a block and a point, a short
+        # last block; sorted values' block extremes are their block ends
+        fx = np.sort(np.random.default_rng(n).uniform(-1.0, 1.0, n))
+        x = np.linspace(0.0, 1.0, n)
+        for trend, g in ((1, fx), (-1, fx[::-1].copy())):
+            top, bot = _kernels._block_extremes(g)
+            ends = g[np.minimum(np.arange(_kernels._BLOCK - 1, n + _kernels._BLOCK - 1,
+                                          _kernels._BLOCK), n - 1)]
+            starts = g[::_kernels._BLOCK]
+            assert np.array_equal(top, ends if trend > 0 else starts)
+            assert np.array_equal(bot, starts if trend > 0 else ends)
+            assert _kernels._trend(g, 0.5) == trend
+            for eps in (0.01, 0.5, float(g.max() - g.min()), 2.5):
+                assert _kernels.min_dist_pair(x, g, eps) == naive_min_dist_pair(x, g, eps)
+
     @given(st.integers(min_value=2, max_value=300), st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.sampled_from([1, -1]), st.sampled_from([0.001, 0.1, 0.5]),
            st.one_of(st.sampled_from([0.0, -0.25, math.nan, 0.3, 1.9]),
