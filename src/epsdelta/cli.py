@@ -10,27 +10,20 @@ errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 
-from .delta import (
-    GridConfig,
-    build_profile,
-    modulus_of_continuity,
-    optimal_delta_closed_form,
-    optimal_delta_grid,
-    verify_largest_delta,
-)
 from .errors import EpsDeltaError, LevelTooLarge, ParseError
-from .extremum import _certified_bound, envelope, refine_extrema
 from .functions import _NUMBER, Interval, Polynomial, RealFunction, _Parser, parse_function
-from .intermediate import bisect_boundary, classical_ivt, fixed_point, parse_target_set
 from .serialize import csv_text, json_text
 
+# delta, extremum and intermediate are imported by the commands that use
+# them, so a process compiles only its own command's module
 
-# rows of an envelope the CLI prints: it builds them as Python lists, then
-# text, about 400 bytes a row (1.7 GB at 2^22 + 1 rows), so the 2^24 + 1
-# point budget would need about 6.8 GB
+# rows of an envelope the CLI prints: its values as Python floats, the
+# row template and the text take about 210 bytes a row of JSON at peak
+# (0.9 GB at 2^22 + 1 rows), so the 2^24 + 1 point budget would need 3.5 GB
 MAX_ENVELOPE_ROWS: int = 2 ** 22 + 1
 
 # argparse's own pattern has no exponent and no inf, so it would read
@@ -129,6 +122,11 @@ def _resolve_function(args: argparse.Namespace) -> RealFunction:
 
 def _result(args: argparse.Namespace, f: RealFunction):
     """The result object of a command whose JSON and CSV both come from it."""
+    if args.command in ("delta-profile", "delta", "verify-delta"):
+        from .delta import (GridConfig, build_profile, optimal_delta_closed_form,
+                            optimal_delta_grid, verify_largest_delta)
+    else:
+        from .intermediate import bisect_boundary, classical_ivt, fixed_point, parse_target_set
     if args.command == "delta" and args.closed_form:
         return optimal_delta_closed_form(f, args.eps)
     if args.command in ("delta-profile", "delta"):
@@ -149,6 +147,8 @@ def _result(args: argparse.Namespace, f: RealFunction):
 def _dispatch(args: argparse.Namespace) -> str:
     f = _resolve_function(args)
     if args.command == "modulus":
+        from .delta import modulus_of_continuity
+
         columns = ("delta", "modulus")
         rows = [(args.delta, modulus_of_continuity(f, args.delta, args.resolution))]
         doc = dict(zip(columns, rows[0]))
@@ -156,9 +156,14 @@ def _dispatch(args: argparse.Namespace) -> str:
         if args.resolution > MAX_ENVELOPE_ROWS:
             raise LevelTooLarge(f"resolution {args.resolution} exceeds the maximum "
                                 f"{MAX_ENVELOPE_ROWS} rows of a printed envelope")
-        columns, rows = ("x", "g"), envelope(f, args.resolution).tolist()
+        from .extremum import envelope
+
+        # the emitters print a float array through one row template
+        columns, rows = ("x", "g"), envelope(f, args.resolution)
         doc = {"points": rows}
     elif args.command == "maximize":
+        from .extremum import _certified_bound, refine_extrema
+
         trace = refine_extrema(f, args.level)
         # one grid of --resolution points gives the modulus and the maximizer
         bound, first = _certified_bound(f, trace, trace.levels[-1], args.resolution)
@@ -195,6 +200,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # what is loaded by now lives until exit: no later collection, the
+    # final ones at exit included, walks it again
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

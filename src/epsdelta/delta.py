@@ -31,7 +31,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmptyLevelSet, OutOfRange, UnsupportedFamily
-from .functions import FiniteMetricSpace, RealFunction, canonical_text, evaluate_many, sample_grid
+from .functions import (
+    FiniteMetricSpace,
+    RealFunction,
+    _sorted_distinct,
+    canonical_text,
+    evaluate_many,
+    sample_grid,
+)
 
 # Pairs count toward the level set when their gap reaches
 # eps * (1 - GAP_SLACK_REL): the float image of an exact boundary pair
@@ -229,7 +236,7 @@ def _zoom_points(lo: float, hi: float, centers, half: float, n: int) -> np.ndarr
     # disjoint windows whose points all differ are sorted and distinct already
     if (pts[1:] > pts[:-1]).all():
         return pts
-    return np.unique(pts)
+    return _sorted_distinct(pts)
 
 
 def optimal_delta_closed_form(f: RealFunction, epsilon: float) -> DeltaSample:

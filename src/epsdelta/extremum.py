@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, LevelTooLarge
 from .functions import (
     MAX_NET_LEVEL,
@@ -208,10 +207,13 @@ def _certified_bound(
 ) -> tuple[float, float]:
     """`certified_max_bound`, and `first_maximizer` at the same resolution,
     from one sampling of the grid."""
+    # imported on use: an envelope process does not compile the kernels
+    from ._kernels import max_gap_within
+
     i = trace.index_of_level(level)
     xs, fx = sample_grid(f, resolution)
     # modulus_of_continuity on this grid; a mesh is never negative
-    w = _kernels.max_gap_within(xs, fx, trace.mesh[i])
+    w = max_gap_within(xs, fx, trace.mesh[i])
     bound = trace.max_values[i] + w
     trace.certified_gap[i] = bound - trace.max_values[i]
     return float(bound), float(xs[np.argmax(fx)])

@@ -30,7 +30,6 @@ from math import inf as _INF, pi as _PI
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, LevelTooLarge, OutOfRange, ParseError, UnsupportedFamily
 
 # relative slack for accepting points a hair outside the domain
@@ -144,7 +143,11 @@ class Chainsaw(Rule):
     |(2n+1)t - 2|, zero at 2/(2n+1), peak 1/n at the right edge; f(0) = 0."""
 
     def values(self, xc: np.ndarray) -> np.ndarray:
-        return _kernels.chainsaw_values(xc)
+        # imported on use: a process that never evaluates the sawtooth or
+        # scans pairs does not compile the kernels
+        from ._kernels import chainsaw_values
+
+        return chainsaw_values(xc)
 
     def text(self, domain: Interval) -> str:
         return "chainsaw"
@@ -456,8 +459,19 @@ def sample_grid(
     if include_anchors:
         extra = anchor_points(f)
         if extra.size:
-            xs = np.unique(np.concatenate((xs, extra)))
+            xs = _sorted_distinct(np.concatenate((xs, extra)))
     return xs, evaluate_many(f, xs)
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending: ``np.unique`` without its
+    import of ``numpy.ma``.  Of equal values (-0.0 and 0.0) the first in
+    ``a`` is kept, since the sort is stable."""
+    s = np.sort(a, kind="stable")
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 def anchor_points(f: RealFunction) -> np.ndarray:
@@ -469,7 +483,7 @@ def anchor_points(f: RealFunction) -> np.ndarray:
     """
     pts = f.rule.anchors()
     lo, hi = f.domain.lo, f.domain.hi
-    return np.unique(pts[(pts >= lo) & (pts <= hi)])
+    return _sorted_distinct(pts[(pts >= lo) & (pts <= hi)])
 
 
 # ---------------------------------------------------------------------------

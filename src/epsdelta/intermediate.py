@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotSelfMap, ParseError, PreconditionViolated
-from .extremum import dyadic_net
 from .functions import RealFunction, _Parser, evaluate, evaluate_many
 from .serialize import format_float
 
@@ -133,7 +132,7 @@ def classify(y: float, target: TargetSet) -> str:
     return EXTERIOR
 
 
-@dataclass
+@dataclass(slots=True)
 class BisectionStep:
     k: int
     a: float
@@ -294,6 +293,9 @@ def fixed_point(f: RealFunction, steps: int) -> FixedPointResult:
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
+
+    # here, not at the top: bisect and ivt processes then never load extremum
+    from .extremum import dyadic_net
 
     lo, hi = f.domain.lo, f.domain.hi
     net = dyadic_net(f.domain, SELF_MAP_NET_LEVEL)

@@ -16,6 +16,13 @@ from epsdelta.cli import MAX_ENVELOPE_ROWS, run
 from epsdelta.serialize import json_text
 
 
+def run_process(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a process of its own, with this checkout's package."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, timeout=60)
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -606,6 +613,58 @@ class TestProcess:
         else:
             assert p.stdout == b""
             assert b"error:" in p.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        GOOD_COMMANDS + [
+            ("envelope", "--fn", "poly(0.1,1,-1)", "--resolution", "4096"),
+            ("envelope", "--fn", "poly(0.1,1,-1)", "--resolution", "4096", "--output", "csv"),
+        ],
+        ids=[argv[0] for argv in GOOD_COMMANDS] + ["envelope-4096-json", "envelope-4096-csv"],
+    )
+    def test_every_command_prints_what_run_prints(self, capsys, argv):
+        p = run_process("-m", "epsdelta.cli", *argv)
+        code, out, _ = invoke(capsys, *argv)
+        assert (p.returncode, p.stdout) == (code, out.encode())
+
+
+# the modules a process running each command loads: the package, the
+# parser and the emitters, and the modules of the command
+STARTUP_MODULES = {"epsdelta", "epsdelta.cli", "epsdelta.errors", "epsdelta.functions",
+                   "epsdelta.serialize"}
+
+
+class TestStartupImports:
+    """A CLI process loads its own command's modules and what ``import numpy``
+    loads, nothing more (no ``numpy.ma`` through ``np.unique``)."""
+
+    LOADED = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('epsdelta', 'numpy'))))")
+
+    def loaded(self, code: str, *argv: str) -> set[str]:
+        p = run_process("-c", f"{code}\n{self.LOADED}", *argv)
+        assert p.returncode == 0, p.stderr
+        return set(json.loads(p.stdout.decode().splitlines()[-1]))
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (["delta", "--fn", "chainsaw", "--eps", "0.3", "--resolution", "600"],
+             {"delta", "_kernels"}),
+            (["bisect", "--fn", "poly(-1,0,3)", "--target", "(-inf,0)", "--steps", "20"],
+             {"intermediate"}),
+            (["envelope", "--fn", "poly(0,1,-1)", "--resolution", "4096"], {"extremum"}),
+        ],
+        ids=["delta", "bisect", "envelope"],
+    )
+    def test_command_loads_only_its_modules(self, argv, modules):
+        numpy_alone = self.loaded("import numpy")
+        run_cli = ("import sys\nfrom epsdelta import cli\n"
+                   "assert cli.run(sys.argv[1:]) == 0")
+        loaded = self.loaded(run_cli, *argv)
+        assert {m for m in loaded if m.startswith("epsdelta")} == STARTUP_MODULES | {
+            f"epsdelta.{m}" for m in modules}
+        assert {m for m in loaded if not m.startswith("epsdelta")} <= numpy_alone
 
 
 class TestDomainFlags:

@@ -213,6 +213,10 @@ class TestFirstMaximizer:
         with pytest.raises(ValueError):
             first_maximizer(IDENTITY, 1)
 
+    def test_past_point_budget(self):
+        with pytest.raises(LevelTooLarge):
+            first_maximizer(IDENTITY, 2 ** 24 + 2)
+
 
 class TestChainsawRefinement:
     def test_grid_max_approaches_one(self):

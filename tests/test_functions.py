@@ -1,6 +1,9 @@
 """Function model: construction, evaluation, parsing, metric spaces."""
 
-import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -686,6 +689,50 @@ class TestAnchorPoints:
         assert anchor_points(expression_function("x*x", 0, 1)).size == 0
 
 
+class TestSortedDistinct:
+    """``np.unique`` of a float array, less its import of ``numpy.ma``."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [0.5], [2.0] * 5, [3.0, -1.0, 3.0, 2.0, -1.0, 5e-324, -np.inf, np.inf],
+         [1.0, 0.0, -0.0, 1.0, -0.0], [-0.0, 1.0, 0.0, 0.0]],
+        ids=["empty", "one", "all-equal", "mixed", "zero-first", "negative-zero-first"],
+    )
+    def test_values_of_unique(self, values):
+        a = np.array(values, dtype=np.float64)
+        got = functions._sorted_distinct(a)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.unique(a))
+        # of -0.0 and 0.0 the first in the input stays, on any numpy
+        zeros = a[a == 0]
+        assert np.signbit(got[got == 0]).tolist() == np.signbit(zeros[:1]).tolist()
+
+    def test_recorded_inputs_equal_unique(self, monkeypatch, capsys):
+        # the arrays the grid commands sort, anchors and zoom windows among them
+        from epsdelta import cli, delta
+
+        sorted_distinct, seen = functions._sorted_distinct, []
+
+        def recorded(a):
+            seen.append(a.copy())
+            return sorted_distinct(a)
+
+        for module in (functions, delta):
+            monkeypatch.setattr(module, "_sorted_distinct", recorded)
+        for argv in (
+            ["delta", "--fn", "chainsaw", "--eps", "0.3", "--resolution", "700"],
+            ["delta-profile", "--fn", "chainsaw", "--eps", "0.2,0.25,0.7", "--resolution", "300"],
+            ["verify-delta", "--fn", "chainsaw", "--eps", "0.25", "--delta", "0.02"],
+            ["delta", "--fn", "pwl((0,0),(0.3,1),(0.6,-1),(1,0))", "--eps", "0.4"],
+            ["delta", "--fn", "power(alpha=2,b=1)", "--eps", "0.19", "--resolution", "512"],
+        ):
+            assert cli.run(argv) == 0
+        capsys.readouterr()
+        assert len(seen) >= 10
+        for a in seen:
+            assert sorted_distinct(a).tobytes() == np.unique(a).tobytes()
+
+
 class TestFiniteMetricSpace:
     def test_from_line_points(self):
         sp = FiniteMetricSpace.from_line_points([0.0, 1.0, 3.0])
@@ -852,17 +899,23 @@ def test_chainsaw_values_in_unit_range(x):
 
 
 def test_all_lists_every_public_import():
-    # __all__ must name exactly the public names the package imports
-    tree = ast.parse(Path(epsdelta.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if not (alias.asname or alias.name).startswith("_")
-    }
-    assert len(epsdelta.__all__) == len(set(epsdelta.__all__))
-    assert set(epsdelta.__all__) == imported
+    # __all__ is the name -> module table, once each, and every name is
+    # the object its home module binds
+    assert epsdelta.__all__ == sorted(set(epsdelta.__all__)) == sorted(epsdelta._HOMES)
+    for name, home in epsdelta._HOMES.items():
+        assert getattr(epsdelta, name) is getattr(importlib.import_module(f"epsdelta.{home}"), name)
+    assert set(epsdelta.__all__) <= set(dir(epsdelta))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        epsdelta.no_such_name
+
+
+def test_import_loads_no_submodule():
+    # a fresh process: this one has loaded every module already
+    probe = "import sys, epsdelta; print(sorted(m for m in sys.modules if m.startswith('epsdelta')))"
+    src = Path(epsdelta.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out == "['epsdelta']\n"
 
 
 def test_all_is_the_star_import_namespace():

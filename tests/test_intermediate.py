@@ -1,5 +1,6 @@
 """Target sets, classification, and bisection searches."""
 
+import dataclasses
 import json
 import math
 
@@ -256,6 +257,14 @@ class TestBisectBoundary:
         assert trace.boundary_hit == 0.375
         assert evaluate(f, trace.boundary_hit) == 0.0
         assert [s.midpoint_class for s in trace.steps] == [EXTERIOR, INTERIOR, BOUNDARY]
+
+    def test_steps_are_slotted(self):
+        # a trace keeps every step: slots hold them without a dict each
+        f = polynomial_function([-1.0, 0.0, 3.0], Interval(0.0, 1.0))
+        step = bisect_boundary(f, parse_target_set("(-inf,0)"), 5).steps[0]
+        assert not hasattr(step, "__dict__")
+        assert dataclasses.asdict(step) == {"k": 0, "a": 0.0, "b": 1.0, "midpoint": 0.5,
+                                            "midpoint_class": INTERIOR}
 
     def test_zero_steps(self):
         f = piecewise_linear_function([(0.0, -1.0), (1.0, 1.0)])
