@@ -25,15 +25,15 @@ _HOMES = {
         "OutOfRange", "ParseError", "PreconditionViolated", "UnsupportedFamily",
     ), "errors"),
     **dict.fromkeys((
-        "MAX_NET_LEVEL", "RefinementTrace", "certified_max_bound", "dyadic_net", "envelope",
-        "first_maximizer", "refine_extrema",
+        "RefinementTrace", "certified_max_bound", "dyadic_net", "envelope", "first_maximizer",
+        "refine_extrema",
     ), "extremum"),
     **dict.fromkeys((
-        "Chainsaw", "Expression", "FiniteMetricSpace", "Interval", "PiecewiseLinear",
-        "Polynomial", "PowerFamily", "RealFunction", "anchor_points", "canonical_text",
-        "chainsaw_function", "evaluate", "evaluate_many", "expression_function",
-        "parse_function", "piecewise_linear_function", "polynomial_function",
-        "power_function", "sample_grid",
+        "MAX_NET_LEVEL", "Chainsaw", "Expression", "FiniteMetricSpace", "Interval",
+        "PiecewiseLinear", "Polynomial", "PowerFamily", "RealFunction", "anchor_points",
+        "canonical_text", "chainsaw_function", "evaluate", "evaluate_many",
+        "expression_function", "parse_function", "piecewise_linear_function",
+        "polynomial_function", "power_function", "sample_grid",
     ), "functions"),
     **dict.fromkeys((
         "BOUNDARY", "EXTERIOR", "INTERIOR", "BisectionStep", "BisectionTrace",

@@ -14,12 +14,12 @@ import gc
 import re
 import sys
 
-from .errors import EpsDeltaError, LevelTooLarge, ParseError
-from .functions import _NUMBER, Interval, Polynomial, RealFunction, _Parser, parse_function
-from .serialize import csv_text, json_text
+# library names go through the package: the first lookup of a name
+# imports its module, so a process loads only its own command's modules
+import epsdelta as ed
 
-# delta, extremum and intermediate are imported by the commands that use
-# them, so a process compiles only its own command's module
+from .functions import _NUMBER, _Parser
+from .serialize import csv_text, json_text
 
 # rows of an envelope the CLI prints: its values as Python floats, the
 # row template and the text take about 210 bytes a row of JSON at peak
@@ -41,7 +41,7 @@ def _real(text: str, many: bool = False, read=lambda parser: parser.number(inf=T
             parser.take()
             values.append(read(parser))
         parser.end()
-    except ParseError as exc:
+    except ed.ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return values if many else values[0]
 
@@ -107,64 +107,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_function(args: argparse.Namespace) -> RealFunction:
-    f = parse_function(args.fn)
+def _resolve_function(args: argparse.Namespace) -> ed.RealFunction:
+    f = ed.parse_function(args.fn)
     if args.lo is None and args.hi is None:
         return f
-    if not isinstance(f.rule, Polynomial):
+    if not isinstance(f.rule, ed.Polynomial):
         raise argparse.ArgumentTypeError(
             "--lo/--hi only apply to poly functions; other families fix their own domain"
         )
     lo = args.lo if args.lo is not None else f.domain.lo
     hi = args.hi if args.hi is not None else f.domain.hi
-    return RealFunction(Interval(lo, hi), f.rule)
-
-
-def _result(args: argparse.Namespace, f: RealFunction):
-    """The result object of a command whose JSON and CSV both come from it."""
-    if args.command in ("delta-profile", "delta", "verify-delta"):
-        from .delta import (GridConfig, build_profile, optimal_delta_closed_form,
-                            optimal_delta_grid, verify_largest_delta)
-    else:
-        from .intermediate import bisect_boundary, classical_ivt, fixed_point, parse_target_set
-    if args.command == "delta" and args.closed_form:
-        return optimal_delta_closed_form(f, args.eps)
-    if args.command in ("delta-profile", "delta"):
-        cfg = GridConfig(resolution=args.resolution, refine_rounds=args.refine)
-        search = build_profile if args.command == "delta-profile" else optimal_delta_grid
-        return search(f, args.eps, cfg)
-    if args.command == "verify-delta":
-        return verify_largest_delta(f, args.eps, args.delta, args.resolution)
-    if args.command == "bisect":
-        return bisect_boundary(f, parse_target_set(args.target), args.steps)
-    if args.command == "ivt":
-        return classical_ivt(f, args.c, args.steps)
-    if args.command == "fixpoint":
-        return fixed_point(f, args.steps)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return ed.RealFunction(ed.Interval(lo, hi), f.rule)
 
 
 def _dispatch(args: argparse.Namespace) -> str:
+    """The document one command prints; each command is one branch."""
     f = _resolve_function(args)
-    if args.command == "modulus":
-        from .delta import modulus_of_continuity
-
+    result = None
+    if args.command == "delta" and args.closed_form:
+        result = ed.optimal_delta_closed_form(f, args.eps)
+    elif args.command in ("delta-profile", "delta"):
+        cfg = ed.GridConfig(resolution=args.resolution, refine_rounds=args.refine)
+        search = ed.build_profile if args.command == "delta-profile" else ed.optimal_delta_grid
+        result = search(f, args.eps, cfg)
+    elif args.command == "verify-delta":
+        result = ed.verify_largest_delta(f, args.eps, args.delta, args.resolution)
+    elif args.command == "modulus":
         columns = ("delta", "modulus")
-        rows = [(args.delta, modulus_of_continuity(f, args.delta, args.resolution))]
+        rows = [(args.delta, ed.modulus_of_continuity(f, args.delta, args.resolution))]
         doc = dict(zip(columns, rows[0]))
     elif args.command == "envelope":
         if args.resolution > MAX_ENVELOPE_ROWS:
-            raise LevelTooLarge(f"resolution {args.resolution} exceeds the maximum "
-                                f"{MAX_ENVELOPE_ROWS} rows of a printed envelope")
-        from .extremum import envelope
-
+            raise ed.LevelTooLarge(f"resolution {args.resolution} exceeds the maximum "
+                                   f"{MAX_ENVELOPE_ROWS} rows of a printed envelope")
         # the emitters print a float array through one row template
-        columns, rows = ("x", "g"), envelope(f, args.resolution)
+        columns, rows = ("x", "g"), ed.envelope(f, args.resolution)
         doc = {"points": rows}
     elif args.command == "maximize":
-        from .extremum import _certified_bound, refine_extrema
+        from .extremum import _certified_bound
 
-        trace = refine_extrema(f, args.level)
+        trace = ed.refine_extrema(f, args.level)
         # one grid of --resolution points gives the modulus and the maximizer
         bound, first = _certified_bound(f, trace, trace.levels[-1], args.resolution)
         # both read the trace after the bound fills its last certified_gap
@@ -173,8 +155,13 @@ def _dispatch(args: argparse.Namespace) -> str:
         doc["certified_bound"] = bound
         if args.output == "json":
             doc["first_maximizer"] = first
+    elif args.command == "bisect":
+        result = ed.bisect_boundary(f, ed.parse_target_set(args.target), args.steps)
+    elif args.command == "ivt":
+        result = ed.classical_ivt(f, args.c, args.steps)
     else:
-        result = _result(args, f)
+        result = ed.fixed_point(f, args.steps)
+    if result is not None:
         doc, (columns, rows) = result.to_json_dict(), result.table()
     return json_text(doc) if args.output == "json" else csv_text(columns, rows)
 
@@ -188,11 +175,11 @@ def run(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         text = _dispatch(args)
-    except (ParseError, argparse.ArgumentTypeError, ValueError) as exc:
+    except (ed.ParseError, argparse.ArgumentTypeError, ValueError) as exc:
         # ahead of EpsDeltaError: a ParseError is one, and it is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EpsDeltaError as exc:
+    except ed.EpsDeltaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text if text.endswith("\n") else text + "\n")

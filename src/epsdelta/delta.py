@@ -106,21 +106,18 @@ class GridConfig:
     The base pass scans a uniform grid of ``resolution`` points plus
     the rule's anchor points; each refinement round re-samples windows
     around the best pair so far, shrunk by ``ZOOM_FACTOR`` per round.
-    ``gap_slack_rel`` overrides the boundary-pair admission slack; set
-    it to 0.0 for strict level-set semantics.
+    The gap threshold is not part of the plan: every grid route admits
+    pairs whose gap reaches eps * (1 - ``GAP_SLACK_REL``).
     """
 
     resolution: int = 4096
     refine_rounds: int = 2
-    gap_slack_rel: float = GAP_SLACK_REL
 
     def __post_init__(self) -> None:
         if self.resolution < 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution}")
         if self.refine_rounds < 0:
             raise ValueError(f"refine_rounds must be nonnegative, got {self.refine_rounds}")
-        if not (0.0 <= self.gap_slack_rel < 1.0):
-            raise ValueError(f"gap_slack_rel must be in [0, 1), got {self.gap_slack_rel}")
 
 
 @dataclass
@@ -204,7 +201,7 @@ def _grid_search(
     f: RealFunction, epsilon: float, xs: np.ndarray, fx: np.ndarray, cfg: GridConfig
 ) -> DeltaSample:
     """The grid search of `optimal_delta_grid` on an already sampled base grid."""
-    eps_eff = epsilon * (1.0 - cfg.gap_slack_rel)
+    eps_eff = epsilon * (1.0 - GAP_SLACK_REL)
     spread = float(fx.max() - fx.min())
     if spread < eps_eff:
         raise EmptyLevelSet(

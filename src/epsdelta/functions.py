@@ -788,8 +788,9 @@ class FiniteMetricSpace:
         return len(self.labels)
 
     @classmethod
-    def from_line_points(cls, xs, values=None, labels=None) -> "FiniteMetricSpace":
-        """Build the induced metric |x_i - x_j| from points on the line.
+    def from_line_points(cls, xs, values=None) -> "FiniteMetricSpace":
+        """Build the induced metric |x_i - x_j| from points on the line,
+        labelled p0, p1, ...
 
         With a finite span every rounded difference is finite, x - x is
         +0.0 and fl(a - b) = -fl(b - a), so the matrix is finite, zero on
@@ -804,8 +805,7 @@ class FiniteMetricSpace:
             raise ValueError("coordinates and their span must be finite")
         if values is None:
             values = xs.copy()
-        if labels is None:
-            labels = tuple(f"p{i}" for i in range(xs.size))
+        labels = tuple(f"p{i}" for i in range(xs.size))
         dist = np.subtract.outer(xs, xs)
         np.abs(dist, out=dist)
-        return cls(tuple(labels), dist, np.asarray(values, dtype=np.float64), _line_metric=True)
+        return cls(labels, dist, np.asarray(values, dtype=np.float64), _line_metric=True)

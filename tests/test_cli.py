@@ -646,19 +646,38 @@ class TestStartupImports:
         assert p.returncode == 0, p.stderr
         return set(json.loads(p.stdout.decode().splitlines()[-1]))
 
-    @pytest.mark.parametrize(
-        "argv, modules",
-        [
-            (["delta", "--fn", "chainsaw", "--eps", "0.3", "--resolution", "600"],
-             {"delta", "_kernels"}),
-            (["bisect", "--fn", "poly(-1,0,3)", "--target", "(-inf,0)", "--steps", "20"],
-             {"intermediate"}),
-            (["envelope", "--fn", "poly(0,1,-1)", "--resolution", "4096"], {"extremum"}),
-        ],
-        ids=["delta", "bisect", "envelope"],
-    )
-    def test_command_loads_only_its_modules(self, argv, modules):
-        numpy_alone = self.loaded("import numpy")
+    @pytest.fixture(scope="class")
+    def numpy_alone(self) -> set[str]:
+        return self.loaded("import numpy")
+
+    # every command route, with its own modules
+    ROUTES = {
+        "delta": (["delta", "--fn", "chainsaw", "--eps", "0.3", "--resolution", "600"],
+                  {"delta", "_kernels"}),
+        "delta-closed-form": (["delta", "--fn", "power(alpha=2,b=1)", "--eps", "0.19",
+                               "--closed-form"], {"delta", "_kernels"}),
+        "delta-profile": (["delta-profile", "--fn", "chainsaw", "--eps", "0.5,0.25",
+                           "--resolution", "512"], {"delta", "_kernels"}),
+        "verify-delta": (["verify-delta", "--fn", "pwl((0,0),(1,1))", "--eps", "0.3",
+                          "--delta", "0.2", "--resolution", "512"], {"delta", "_kernels"}),
+        "modulus": (["modulus", "--fn", "pwl((0,0),(1,1))", "--delta", "0.25",
+                     "--resolution", "1025"], {"delta", "_kernels"}),
+        "maximize-json": (["maximize", "--fn", "poly(0,1,-1)", "--level", "6",
+                           "--resolution", "512"], {"extremum", "_kernels"}),
+        "maximize-csv": (["maximize", "--fn", "poly(0,1,-1)", "--level", "6",
+                          "--resolution", "512", "--output", "csv"], {"extremum", "_kernels"}),
+        "envelope": (["envelope", "--fn", "poly(0,1,-1)", "--resolution", "4096"],
+                     {"extremum"}),
+        "bisect": (["bisect", "--fn", "poly(-1,0,3)", "--target", "(-inf,0)", "--steps", "20"],
+                   {"intermediate"}),
+        "ivt": (["ivt", "--fn", "poly(0,0,0,1)", "--lo", "0", "--hi", "2", "--c", "2",
+                 "--steps", "10"], {"intermediate"}),
+        "fixpoint": (["fixpoint", "--fn", "expr(cos(x),lo=0,hi=1)", "--steps", "10"],
+                     {"intermediate", "extremum"}),
+    }
+
+    @pytest.mark.parametrize("argv, modules", ROUTES.values(), ids=ROUTES)
+    def test_command_loads_only_its_modules(self, numpy_alone, argv, modules):
         run_cli = ("import sys\nfrom epsdelta import cli\n"
                    "assert cli.run(sys.argv[1:]) == 0")
         loaded = self.loaded(run_cli, *argv)

@@ -909,13 +909,24 @@ def test_all_lists_every_public_import():
         epsdelta.no_such_name
 
 
-def test_import_loads_no_submodule():
-    # a fresh process: this one has loaded every module already
-    probe = "import sys, epsdelta; print(sorted(m for m in sys.modules if m.startswith('epsdelta')))"
+def _epsdelta_modules(code: str) -> str:
+    """The epsdelta modules a fresh process has loaded after ``code``: this
+    process has loaded every module already."""
+    probe = (f"{code}\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.startswith('epsdelta')))")
     src = Path(epsdelta.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
-                         capture_output=True, text=True, timeout=60, check=True).stdout
-    assert out == "['epsdelta']\n"
+    return subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60, check=True).stdout
+
+
+def test_import_loads_no_submodule():
+    assert _epsdelta_modules("import epsdelta") == "['epsdelta']\n"
+
+
+def test_max_net_level_loads_only_its_home():
+    # the constant lives in functions: its lookup compiles no command module
+    assert _epsdelta_modules("import epsdelta; epsdelta.MAX_NET_LEVEL") == (
+        "['epsdelta', 'epsdelta.errors', 'epsdelta.functions']\n")
 
 
 def test_all_is_the_star_import_namespace():
