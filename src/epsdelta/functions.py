@@ -737,9 +737,10 @@ def _triangle_violated(d: np.ndarray) -> bool:
     return any((d > (d[:, j, None] + d[None, j, :]) + slack).any() for j in range(len(d)))
 
 
-@dataclass
+@dataclass(eq=False)
 class FiniteMetricSpace:
-    """A nonempty finite point set with a metric and a real value per point.
+    """A nonempty finite point set, given by its distance matrix, with a
+    real value per point; spaces compare by identity.
 
     Values must be finite.  A matrix passed in must be finite, zero on
     the diagonal, symmetric and nonnegative, and is also checked for the
@@ -749,21 +750,19 @@ class FiniteMetricSpace:
     distance checks, which its matrix meets by construction.
     """
 
-    labels: tuple[str, ...]
     dist: np.ndarray
     values: np.ndarray
     _: KW_ONLY
     _line_metric: InitVar[bool] = False
 
     def __post_init__(self, _line_metric: bool) -> None:
-        self.labels = tuple(str(s) for s in self.labels)
         self.dist = np.asarray(self.dist, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        n = len(self.labels)
+        if self.dist.ndim != 2 or self.dist.shape[0] != self.dist.shape[1]:
+            raise ValueError(f"dist must be a square matrix, got shape {self.dist.shape}")
+        n = len(self.dist)
         if n == 0:
             raise ValueError("a finite metric space needs at least one point")
-        if self.dist.shape != (n, n):
-            raise ValueError(f"dist must be {n}x{n}, got {self.dist.shape}")
         if self.values.shape != (n,):
             raise ValueError(f"values must have length {n}, got {self.values.shape}")
         if not np.isfinite(self.values).all() or not (_line_metric or np.isfinite(self.dist).all()):
@@ -783,14 +782,10 @@ class FiniteMetricSpace:
         if _triangle_violated(self.dist):
             raise ValueError("triangle inequality violated")
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
     @classmethod
-    def from_line_points(cls, xs, values=None) -> "FiniteMetricSpace":
-        """Build the induced metric |x_i - x_j| from points on the line,
-        labelled p0, p1, ...
+    def from_line_points(cls, xs, values) -> "FiniteMetricSpace":
+        """The points ``xs`` on the line with the induced metric
+        |x_i - x_j|, and ``values`` at them.
 
         With a finite span every rounded difference is finite, x - x is
         +0.0 and fl(a - b) = -fl(b - a), so the matrix is finite, zero on
@@ -803,9 +798,6 @@ class FiniteMetricSpace:
             span = xs.max() - xs.min() if xs.size else 0.0
         if not np.isfinite(span):
             raise ValueError("coordinates and their span must be finite")
-        if values is None:
-            values = xs.copy()
-        labels = tuple(f"p{i}" for i in range(xs.size))
         dist = np.subtract.outer(xs, xs)
         np.abs(dist, out=dist)
-        return cls(labels, dist, np.asarray(values, dtype=np.float64), _line_metric=True)
+        return cls(dist, values, _line_metric=True)

@@ -161,7 +161,7 @@ def test_criterion_4_finite_space_largest_delta(verdict):
             d = np.triu(d, 1)
             d = d + d.T
             values = rng.uniform(0.0, 1.0, size)
-            space = FiniteMetricSpace(tuple(f"p{i}" for i in range(size)), d, values)
+            space = FiniteMetricSpace(d, values)
         else:
             xs = np.sort(rng.uniform(0.0, 10.0, size))
             space = FiniteMetricSpace.from_line_points(xs, values=rng.uniform(0, 1, size))

@@ -365,6 +365,11 @@ class TestExitCodes:
         assert code == 2
         assert "position" in err
 
+    def test_unknown_expression_name_is_two(self, capsys):
+        code, out, err = invoke(capsys, "delta", "--fn", "expr(foo(x),lo=0,hi=1)", "--eps", "0.5")
+        assert (code, out) == (2, "")
+        assert "unknown name 'foo' (at position 5, expected x, pi, sin, cos, or abs)" in err
+
     def test_target_parse_error_is_two(self, capsys):
         code, _, err = invoke(
             capsys, "bisect", "--fn", "poly(0,1)", "--target", "<0,1>", "--steps", "3"

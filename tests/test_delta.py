@@ -273,11 +273,17 @@ class TestDeltaMonotonicity:
 class TestFiniteSpaces:
     def test_three_point_example(self):
         dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        sp = FiniteMetricSpace(("a", "b", "c"), dist, np.array([0.0, 0.4, 1.0]))
+        sp = FiniteMetricSpace(dist, np.array([0.0, 0.4, 1.0]))
         s = optimal_delta_finite(sp, 0.5)
         # qualifying pairs: (a, c) gap 1.0 dist 2, (b, c) gap 0.6 dist 1
         assert s.delta == 1.0
         assert (s.method, s.bias) == (METHOD_EXHAUSTIVE, BIAS_EXACT)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_epsilon(self, eps):
+        sp = FiniteMetricSpace.from_line_points([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            optimal_delta_finite(sp, eps)
 
     def test_empty_level_set(self):
         sp = FiniteMetricSpace.from_line_points([0.0, 1.0], values=[0.0, 0.1])
@@ -348,6 +354,8 @@ class TestDeltaSample:
             DeltaSample(0.1, 0.1, METHOD_CLOSED_FORM, BIAS_UPPER_BOUND)
         with pytest.raises(ValueError):
             DeltaSample(0.1, 0.1, "magic", BIAS_EXACT)
+        with pytest.raises(ValueError, match="unknown bias 'sideways'"):
+            DeltaSample(0.1, 0.1, METHOD_GRID, "sideways")
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Function model: construction, evaluation, parsing, metric spaces."""
 
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -262,6 +263,13 @@ class TestParseFunction:
         with pytest.raises(ParseError) as info:
             parse_function("power(alpha=2;b=1)")
         assert info.value.position == 13
+
+    def test_unknown_name_in_expression(self):
+        with pytest.raises(ParseError) as info:
+            parse_function("expr(foo(x),lo=0,hi=1)")
+        assert str(info.value) == (
+            "unknown name 'foo' (at position 5, expected x, pi, sin, cos, or abs)"
+        )
 
     def test_canonical_text_examples(self):
         assert canonical_text(chainsaw_function()) == "chainsaw"
@@ -735,38 +743,65 @@ class TestSortedDistinct:
 
 class TestFiniteMetricSpace:
     def test_from_line_points(self):
-        sp = FiniteMetricSpace.from_line_points([0.0, 1.0, 3.0])
-        assert sp.size == 3
+        sp = FiniteMetricSpace.from_line_points([0.0, 1.0, 3.0], [0.5, 0, 2])
+        assert sp.dist.shape == (3, 3)
         assert sp.dist[0, 2] == 3.0
         assert sp.dist[2, 0] == 3.0
         assert (np.diagonal(sp.dist) == 0.0).all()
+        assert sp.values.dtype == np.float64
+        assert sp.values.tolist() == [0.5, 0.0, 2.0]
 
-    def test_values_default_to_coordinates(self):
-        sp = FiniteMetricSpace.from_line_points([0.0, 2.0])
-        assert sp.values.tolist() == [0.0, 2.0]
+    def test_fields_are_the_matrix_and_the_values(self):
+        assert [f.name for f in dataclasses.fields(FiniteMetricSpace)] == ["dist", "values"]
+        for name in ("labels", "size"):
+            assert not hasattr(FiniteMetricSpace, name)
+        with pytest.raises(TypeError):
+            FiniteMetricSpace.from_line_points([0.0, 2.0])
+
+    def test_spaces_compare_by_identity(self):
+        # the generated __eq__ compared arrays and raised for two or more points
+        a = FiniteMetricSpace.from_line_points([0.0, 0.5, 2.0], [1.0, 0.0, 1.0])
+        b = FiniteMetricSpace.from_line_points([0.0, 0.5, 2.0], [1.0, 0.0, 1.0])
+        assert (a == b) is False
+        assert (a == a) is True
+        assert len({a, b, a}) == 2
 
     def test_rejects_nonzero_diagonal(self):
         d = np.array([[0.1, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
-            FiniteMetricSpace(("a", "b"), d, np.zeros(2))
+            FiniteMetricSpace(d, np.zeros(2))
 
     def test_rejects_asymmetry(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
-            FiniteMetricSpace(("a", "b"), d, np.zeros(2))
+            FiniteMetricSpace(d, np.zeros(2))
 
     def test_rejects_triangle_violation(self):
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(ValueError):
-            FiniteMetricSpace(("a", "b", "c"), d, np.zeros(3))
+            FiniteMetricSpace(d, np.zeros(3))
 
     def test_rejects_empty_space(self):
         with pytest.raises(ValueError, match="needs at least one point"):
-            FiniteMetricSpace((), np.zeros((0, 0)), np.zeros(0))
+            FiniteMetricSpace(np.zeros((0, 0)), np.zeros(0))
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            FiniteMetricSpace(("a",), np.zeros((2, 2)), np.zeros(2))
+    @pytest.mark.parametrize(
+        "d, values, message",
+        [(np.zeros((2, 2)), np.zeros(3), "values must have length 2"),
+         (np.zeros((1, 1)), 0.0, "values must have length 1"),
+         (np.zeros((2, 3)), np.zeros(2), "dist must be a square matrix"),
+         (np.zeros(2), np.zeros(2), "dist must be a square matrix"),
+         (0.0, np.zeros(1), "dist must be a square matrix"),
+         ([[0.0, 1.0], [1.0]], np.zeros(2), "inhomogeneous"),
+         (np.zeros((2, 2)), [[0.0], [1.0, 2.0]], "inhomogeneous")],
+        ids=["long-values", "0d-values", "non-square", "1d-dist", "0d-dist",
+             "ragged-dist", "ragged-values"],
+    )
+    def test_rejects_shape_mismatch(self, d, values, message):
+        # the point count is the matrix's; a 0-d or ragged input too is a
+        # ValueError, not a TypeError
+        with pytest.raises(ValueError, match=message):
+            FiniteMetricSpace(d, values)
 
     def test_triangle_check_matches_cubic_form(self):
         # reference: the whole n x n x n comparison at once, same slack
@@ -790,7 +825,7 @@ class TestFiniteMetricSpace:
                 i, k = rng.choice(n, size=2, replace=False)
                 d[i, k] = d[k, i] = d[i, k] * (1.0 + float(rng.choice([1e-15, 1e-14, 1e-13, 0.5])))
             try:
-                FiniteMetricSpace(tuple(range(n)), d, np.zeros(n))
+                FiniteMetricSpace(d, np.zeros(n))
                 rejected = False
             except ValueError as exc:
                 assert "triangle" in str(exc)
@@ -821,8 +856,8 @@ class TestFiniteMetricSpace:
     @example([1e300, -1e300, 3e-300, -1e-300, 0.0])
     def test_line_points_pass_the_triangle_check(self, xs):
         # from_line_points skips the distance checks: run them here instead
-        sp = FiniteMetricSpace.from_line_points(xs)
-        assert sp.size == len(xs)
+        sp = FiniteMetricSpace.from_line_points(xs, np.zeros(len(xs)))
+        assert sp.dist.shape == (len(xs), len(xs))
         assert np.isfinite(sp.dist).all()
         assert (np.diagonal(sp.dist) == 0.0).all()
         assert np.array_equal(sp.dist, sp.dist.T)
@@ -841,7 +876,7 @@ class TestFiniteMetricSpace:
     def test_line_points_reject_infinite_coordinates_or_span(self, xs):
         # raised before |x_i - x_j| is formed, so no overflow or inf - inf warning
         with pytest.raises(ValueError, match="span must be finite"):
-            FiniteMetricSpace.from_line_points(xs)
+            FiniteMetricSpace.from_line_points(xs, np.zeros(len(xs)))
 
     @pytest.mark.parametrize(
         "d, message",
@@ -854,7 +889,7 @@ class TestFiniteMetricSpace:
     def test_a_matrix_passed_in_meets_each_check(self, d, message):
         d = np.array(d)
         with pytest.raises(ValueError, match=message):
-            FiniteMetricSpace(tuple(range(len(d))), d, np.zeros(len(d)))
+            FiniteMetricSpace(d, np.zeros(len(d)))
 
     def test_line_points_skip_the_distance_checks(self, monkeypatch):
         def never(d):
@@ -862,7 +897,8 @@ class TestFiniteMetricSpace:
 
         monkeypatch.setattr(functions, "_triangle_violated", never)
         n = MAX_METRIC_POINTS + 1
-        assert FiniteMetricSpace.from_line_points(np.arange(n, dtype=np.float64)).size == n
+        xs = np.arange(n, dtype=np.float64)
+        assert FiniteMetricSpace.from_line_points(xs, xs).dist.shape == (n, n)
         with pytest.raises(ValueError, match="must be finite"):
             FiniteMetricSpace.from_line_points([0.0, 1.0], values=[0.0, np.nan])
         with pytest.raises(ValueError, match="values must have length 2"):
@@ -878,12 +914,12 @@ class TestFiniteMetricSpace:
         monkeypatch.setattr(functions, "_triangle_violated", spy)
         xs = np.linspace(0.0, 1.0, MAX_METRIC_POINTS)
         d = np.abs(xs[:, None] - xs[None, :])
-        assert FiniteMetricSpace(tuple(range(len(xs))), d, xs).size == MAX_METRIC_POINTS
+        assert len(FiniteMetricSpace(d, xs).dist) == MAX_METRIC_POINTS
         assert checked == [MAX_METRIC_POINTS]
         # one point more fails before the cubic check starts
         n = MAX_METRIC_POINTS + 1
         with pytest.raises(LevelTooLarge, match=f"{n} points exceed the maximum {MAX_METRIC_POINTS}"):
-            FiniteMetricSpace(tuple(range(n)), np.zeros((n, n)), np.zeros(n))
+            FiniteMetricSpace(np.zeros((n, n)), np.zeros(n))
         assert checked == [MAX_METRIC_POINTS]
 
 

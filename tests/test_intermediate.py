@@ -162,6 +162,9 @@ class TestTargetSet:
         assert info.value.position == 0
         assert str(info.value) == "endpoints out of order: '(1,0)' (at position 0)"
 
+    def test_empty_set_prints_as_empty_parentheses(self):
+        assert str(TargetSet(())) == "()"
+
 
 class TestClassify:
     def test_open_interval(self):
@@ -198,6 +201,20 @@ class TestClassify:
             d = parse_target_set(text)
             assert classify(-math.inf, d) == EXTERIOR
             assert classify(math.inf, d) == EXTERIOR
+
+
+@pytest.mark.parametrize(
+    "search",
+    [lambda f: bisect_boundary(f, parse_target_set("(-inf,0)"), -1),
+     lambda f: classical_ivt(f, 0.0, -1),
+     lambda f: fixed_point(f, -1)],
+    ids=["bisect_boundary", "classical_ivt", "fixed_point"],
+)
+def test_negative_step_count_is_refused(search):
+    # the CLI reads counts as plain digits, so only library callers get here
+    f = polynomial_function([-0.5, 1.0])
+    with pytest.raises(ValueError, match="steps must be nonnegative, got -1"):
+        search(f)
 
 
 class TestBisectBoundary:

@@ -71,3 +71,12 @@ def test_json_refuses_the_first_non_finite_value(rows, shown):
         assert messages[0] == messages[1] == f"JSON cannot hold the value {shown}; use --output csv"
     # CSV has no such limit
     assert csv_text(["x", "g"], a) == csv_text(["x", "g"], a.tolist())
+
+
+def test_json_prints_an_empty_dict_inside_a_dict():
+    assert json_text({"a": {}}) == '{\n  "a": {}\n}'
+
+
+def test_json_refuses_an_object_it_has_no_form_for():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        json_text(object())
