@@ -111,13 +111,13 @@ def _resolve_function(args: argparse.Namespace) -> ed.RealFunction:
     f = ed.parse_function(args.fn)
     if args.lo is None and args.hi is None:
         return f
-    if not isinstance(f.rule, ed.Polynomial):
+    if not isinstance(f, ed.Polynomial):
         raise argparse.ArgumentTypeError(
             "--lo/--hi only apply to poly functions; other families fix their own domain"
         )
     lo = args.lo if args.lo is not None else f.domain.lo
     hi = args.hi if args.hi is not None else f.domain.hi
-    return ed.RealFunction(ed.Interval(lo, hi), f.rule)
+    return ed.Polynomial(f.coefficients, ed.Interval(lo, hi))
 
 
 def _dispatch(args: argparse.Namespace) -> str:

@@ -15,7 +15,7 @@ Three routes compute it:
   upper bound for the true infimum, sharpened by zooming in around the
   best pair found;
 * closed forms (`optimal_delta_closed_form`) for the power family and
-  the sawtooth's jump points, each its rule's ``exact_delta`` method;
+  the sawtooth's jump points, each its family's ``exact_delta`` method;
 * an exhaustive scan over a finite metric space
   (`optimal_delta_finite`), which is the module's exact oracle.
 
@@ -104,7 +104,7 @@ class GridConfig:
     """Sampling plan for grid-based tolerance searches.
 
     The base pass scans a uniform grid of ``resolution`` points plus
-    the rule's anchor points; each refinement round re-samples windows
+    the function's anchor points; each refinement round re-samples windows
     around the best pair so far, shrunk by ``ZOOM_FACTOR`` per round.
     The gap threshold is not part of the plan: every grid route admits
     pairs whose gap reaches eps * (1 - ``GAP_SLACK_REL``).
@@ -248,12 +248,12 @@ def optimal_delta_closed_form(f: RealFunction, epsilon: float) -> DeltaSample:
 
         delta(1/n) = 1 / (n (2n + 1))
 
-    Raises UnsupportedFamily for other rules, OutOfRange for epsilon
+    Raises UnsupportedFamily for other families, OutOfRange for epsilon
     outside the formula's validity.
     """
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    delta = f.rule.exact_delta(epsilon)
+    delta = f.exact_delta(epsilon)
     return DeltaSample(float(epsilon), float(delta), METHOD_CLOSED_FORM, BIAS_EXACT)
 
 

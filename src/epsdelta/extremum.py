@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, LevelTooLarge
+from .errors import LevelTooLarge
 from .functions import (
     MAX_NET_LEVEL,
     Interval,
@@ -140,28 +140,25 @@ def refine_extrema(f: RealFunction, max_level: int) -> RefinementTrace:
 
 
 def _level_chunks(f: RealFunction, max_level: int):
-    """For each level 0 .. ``max_level``, the ``(points, values)`` chunks of
-    its new points.
+    """For each level 0 .. ``max_level``, the ``(points, values)`` chunks of its new points.
 
-    Up to level ``c = min(max_level, _COARSE)`` these are strided views of
-    the level-c net and its values: its ends at level 0, and every
-    2^(c-n+1)-th point from the 2^(c-n)-th at level n.  They are the
-    points `_new_points` makes, bit for bit: k / 2^c is (2j+1) / 2^n
-    exactly, and ``+`` and ``*`` commute.
+    Up to level ``c = min(max_level, _COARSE)`` the points are the
+    level-c net's in level order, evaluated at once, so an error names
+    the offender a level-by-level pass meets first: its ends at level 0
+    (slice 0:2), and every 2^(c-n+1)-th point from the 2^(c-n)-th at
+    level n (slice 2^(n-1)+1 : 2^n+1).  They are the points
+    `_new_points` makes, bit for bit: k / 2^c is (2j+1) / 2^n exactly,
+    and ``+`` and ``*`` commute.
     """
     c = min(max_level, _COARSE)
     net = dyadic_net(f.domain, c)
-    levels = [slice(None, None, 2 ** c)]
-    levels += [slice(2 ** (c - n), None, 2 ** (c - n + 1)) for n in range(1, c + 1)]
-    try:
-        vals = evaluate_many(f, net)
-    except DomainError:
-        # name the offender a level-by-level pass meets first
-        for sl in levels:
-            evaluate_many(f, net[sl])
-        raise
-    for sl in levels:
-        yield [(net[sl], vals[sl])]
+    pts = np.concatenate(
+        [net[:: 2 ** c]] + [net[2 ** (c - n) :: 2 ** (c - n + 1)] for n in range(1, c + 1)]
+    )
+    vals = evaluate_many(f, pts)
+    for n in range(c + 1):
+        sl = slice(2 ** (n - 1) + 1 if n else 0, 2 ** n + 1)
+        yield [(pts[sl], vals[sl])]
     # odd net indices 1, 3, 5, ... of one chunk, and the buffer its points go to
     odd = np.arange(1, 2 * min(_CHUNK, 2 ** max_level // 2), 2, dtype=np.float64)
     buf = np.empty_like(odd)

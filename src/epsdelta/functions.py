@@ -1,10 +1,10 @@
 """Function model: intervals, function families, parsing, and evaluation.
 
-A :class:`RealFunction` pairs a closed interval domain with one of five
-rule families.  Everything downstream (tolerance search, extremum
-refinement, bisection) consumes functions only through
-:func:`evaluate` / :func:`evaluate_many`, so each family is free to pick
-its own fast evaluation path.
+A :class:`RealFunction` is one of five families, each owning its closed
+interval domain: power, the sawtooth and pwl derive theirs, poly and
+expr take one.  Everything downstream (tolerance search, extremum
+refinement, bisection) consumes functions only through :func:`evaluate`
+/ :func:`evaluate_many`, so each family picks its own evaluation path.
 
 The text grammar accepted by :func:`parse_function`::
 
@@ -68,24 +68,27 @@ class Interval:
 
 
 # ---------------------------------------------------------------------------
-# rule families
+# function families
 # ---------------------------------------------------------------------------
 
 
-class Rule:
-    """Base of the five rule families, each of which owns its behaviour.
+class RealFunction:
+    """Base of the five function families, each owning its domain and behaviour.
 
-    ``values`` takes the clamped points ``xc``, a float64 array, to a
-    fresh one, and runs with numpy's floating-point errors silenced;
-    ``value`` takes one float to a float with the bits ``values`` gives
-    that point at any array length, and raises no warning.  Either may
-    give non-finite values; evaluate_many and evaluate reject them.
-    ``text(domain)`` is the canonical spec, ``anchors()`` the points
-    `anchor_points` clips to the domain, and ``exact_delta(eps)`` the
-    optimal tolerance by formula or OutOfRange.  The defaults below give
-    ``value`` as ``values`` on a one-point array, with evaluate_many's
-    errors silenced, no anchors and no formula (UnsupportedFamily).
+    ``domain`` is the closed interval f lives on.  ``values`` takes the
+    clamped points ``xc``, a float64 array, to a fresh one, and runs with
+    numpy's floating-point errors silenced; ``value`` takes one float to
+    a float with the bits ``values`` gives that point at any array
+    length, and raises no warning.  Either may give non-finite values;
+    evaluate_many and evaluate reject them.  ``text()`` is the canonical
+    spec, ``anchors()`` the points of the domain that sampling grids
+    include exactly, and ``exact_delta(eps)`` the optimal tolerance by
+    formula or OutOfRange.  The defaults below give ``value`` as
+    ``values`` on a one-point array, with evaluate_many's errors
+    silenced, no anchors and no formula (UnsupportedFamily).
     """
+
+    domain: Interval
 
     def value(self, xc: float) -> float:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -99,22 +102,24 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class PowerFamily(Rule):
+class PowerFamily(RealFunction):
     """x**alpha on [0, b] with alpha > 0, b > 0."""
 
     alpha: float
     b: float
+    domain: Interval = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0.0 and np.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (self.b > 0.0 and np.isfinite(self.b)):
             raise ValueError(f"b must be positive, got {self.b}")
+        object.__setattr__(self, "domain", Interval(0.0, self.b))
 
     def values(self, xc: np.ndarray) -> np.ndarray:
         return xc ** self.alpha
 
-    def text(self, domain: Interval) -> str:
+    def text(self) -> str:
         return f"power(alpha={_fmt(self.alpha)},b={_fmt(self.b)})"
 
     def exact_delta(self, eps: float) -> float:
@@ -138,9 +143,11 @@ class PowerFamily(Rule):
 
 
 @dataclass(frozen=True)
-class Chainsaw(Rule):
+class Chainsaw(RealFunction):
     """Decreasing sawtooth on [0, 1]: tooth n on [1/(n+1), 1/n] has value
     |(2n+1)t - 2|, zero at 2/(2n+1), peak 1/n at the right edge; f(0) = 0."""
+
+    domain = Interval(0.0, 1.0)
 
     def values(self, xc: np.ndarray) -> np.ndarray:
         # imported on use: a process that never evaluates the sawtooth or
@@ -149,7 +156,7 @@ class Chainsaw(Rule):
 
         return chainsaw_values(xc)
 
-    def text(self, domain: Interval) -> str:
+    def text(self) -> str:
         return "chainsaw"
 
     def anchors(self) -> np.ndarray:
@@ -175,10 +182,11 @@ class Chainsaw(Rule):
 
 
 @dataclass(frozen=True)
-class Polynomial(Rule):
-    """Polynomial with ascending coefficients: c0 + c1*x + c2*x^2 + ..."""
+class Polynomial(RealFunction):
+    """Polynomial with ascending coefficients c0 + c1*x + ..., on [0, 1] by default."""
 
     coefficients: tuple[float, ...]
+    domain: Interval = Interval(0.0, 1.0)
 
     def __post_init__(self) -> None:
         if len(self.coefficients) == 0:
@@ -203,19 +211,21 @@ class Polynomial(Rule):
             acc = float(ci) + acc * xc
         return acc
 
-    def text(self, domain: Interval) -> str:
+    def text(self) -> str:
         return "poly(" + ",".join(_fmt(c) for c in self.coefficients) + ")"
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear(Rule):
+class PiecewiseLinear(RealFunction):
     """Linear interpolation through breakpoints with strictly increasing x.
 
-    ``px`` and ``py`` hold the breakpoints' coordinates as read-only
-    arrays, built once; equality, hashing and ``repr`` use ``points`` alone.
+    The domain runs from the first breakpoint to the last.  ``px`` and
+    ``py`` hold their coordinates as read-only arrays, built once;
+    equality, hashing and ``repr`` use ``points`` alone.
     """
 
     points: tuple[tuple[float, float], ...]
+    domain: Interval = field(init=False, repr=False, compare=False)
     px: np.ndarray = field(init=False, repr=False, compare=False)
     py: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -230,11 +240,12 @@ class PiecewiseLinear(Rule):
         xy.flags.writeable = False
         object.__setattr__(self, "px", xy[0])
         object.__setattr__(self, "py", xy[1])
+        object.__setattr__(self, "domain", Interval(xs[0], xs[-1]))
 
     def values(self, xc: np.ndarray) -> np.ndarray:
         return np.interp(xc, self.px, self.py)
 
-    def text(self, domain: Interval) -> str:
+    def text(self) -> str:
         return "pwl(" + ",".join(f"({_fmt(x)},{_fmt(y)})" for x, y in self.points) + ")"
 
     def anchors(self) -> np.ndarray:
@@ -242,10 +253,11 @@ class PiecewiseLinear(Rule):
 
 
 @dataclass(frozen=True)
-class Expression(Rule):
-    """Expression tree over x; nodes are nested tuples, e.g. ("sin", ("x",))."""
+class Expression(RealFunction):
+    """Expression tree over x, e.g. ("sin", ("x",)), on a given domain."""
 
     tree: tuple
+    domain: Interval
 
     def values(self, xc: np.ndarray) -> np.ndarray:
         vals = _eval_node(self.tree, xc)
@@ -258,14 +270,8 @@ class Expression(Rule):
     def value(self, xc: float) -> float:
         return _eval_point(self.tree, xc)
 
-    def text(self, domain: Interval) -> str:
-        return f"expr({_expr_text(self.tree)},lo={_fmt(domain.lo)},hi={_fmt(domain.hi)})"
-
-
-@dataclass(frozen=True)
-class RealFunction:
-    domain: Interval
-    rule: Rule
+    def text(self) -> str:
+        return f"expr({_expr_text(self.tree)},lo={_fmt(self.domain.lo)},hi={_fmt(self.domain.hi)})"
 
 
 # ---------------------------------------------------------------------------
@@ -274,29 +280,26 @@ class RealFunction:
 
 
 def power_function(alpha: float, b: float) -> RealFunction:
-    rule = PowerFamily(float(alpha), float(b))
-    return RealFunction(Interval(0.0, rule.b), rule)
+    return PowerFamily(float(alpha), float(b))
 
 
 def chainsaw_function() -> RealFunction:
-    return RealFunction(Interval(0.0, 1.0), Chainsaw())
+    return Chainsaw()
 
 
-def polynomial_function(coefficients, domain: Interval | None = None) -> RealFunction:
-    rule = Polynomial(tuple(float(c) for c in coefficients))
-    return RealFunction(domain if domain is not None else Interval(0.0, 1.0), rule)
+def polynomial_function(coefficients, domain: Interval = Polynomial.domain) -> RealFunction:
+    return Polynomial(tuple(float(c) for c in coefficients), domain)
 
 
 def piecewise_linear_function(points) -> RealFunction:
-    rule = PiecewiseLinear(tuple((float(x), float(y)) for x, y in points))
-    return RealFunction(Interval(rule.points[0][0], rule.points[-1][0]), rule)
+    return PiecewiseLinear(tuple((float(x), float(y)) for x, y in points))
 
 
 def expression_function(text: str, lo: float, hi: float) -> RealFunction:
     parser = _Parser(text)
     tree, _ = parser.expression()
     parser.end()
-    return RealFunction(Interval(float(lo), float(hi)), Expression(tree))
+    return Expression(tree, Interval(float(lo), float(hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +414,7 @@ def evaluate_many(f: RealFunction, xs) -> np.ndarray:
 
     # floating-point errors surface as non-finite values, rejected below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = f.rule.values(xc)
+        vals = f.values(xc)
     if vals.size and not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
         offender = float(xc[np.argmax(~np.isfinite(vals))])
         raise DomainError(f"f is non-finite at x={offender!r}")
@@ -422,7 +425,7 @@ def evaluate(f: RealFunction, x: float) -> float:
     """Evaluate f at one point: ``evaluate_many(f, [x])[0]`` bit for bit.
 
     The domain slack, the clamp, the DomainErrors and their messages
-    are `evaluate_many`'s, and the work is the rule's ``value``: Python
+    are `evaluate_many`'s, and the work is f's ``value``: Python
     floats for poly and expr, ``values`` on one point for the rest.
     """
     x = float(x)
@@ -433,7 +436,7 @@ def evaluate(f: RealFunction, x: float) -> float:
         raise DomainError(f"x={x!r} outside domain [{lo!r}, {hi!r}]")
     # clamping is the identity (-0.0 included) inside the domain
     xc = float(lo) if x < lo else float(hi) if x > hi else x
-    val = f.rule.value(xc)
+    val = f.value(xc)
     if not math.isfinite(val):
         raise DomainError(f"f is non-finite at x={xc!r}")
     return val
@@ -445,7 +448,7 @@ def sample_grid(
     """Abscissas and values ``(xs, fx)`` of f on a sorted sample grid.
 
     The grid holds ``resolution`` uniform points over the domain, plus
-    the rule's anchor points when ``include_anchors`` is set.  Raises
+    f's anchor points when ``include_anchors`` is set.  Raises
     ValueError below 2 points and LevelTooLarge past the point budget
     of a level-``MAX_NET_LEVEL`` dyadic net, before allocating anything.
     """
@@ -475,15 +478,13 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
 
 
 def anchor_points(f: RealFunction) -> np.ndarray:
-    """Abscissas a sampling grid should include exactly for this rule.
+    """Abscissas of f's domain a sampling grid should include exactly.
 
     Sawtooth peaks/zeros and piecewise-linear breakpoints are where the
     optimal tolerance is attained; a uniform grid almost never hits them.
     Smooth families need no anchors.
     """
-    pts = f.rule.anchors()
-    lo, hi = f.domain.lo, f.domain.hi
-    return _sorted_distinct(pts[(pts >= lo) & (pts <= hi)])
+    return _sorted_distinct(f.anchors())
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +519,11 @@ def _expr_text(node: tuple, parent_prec: int = 0) -> str:
 
 
 def canonical_text(f: RealFunction) -> str:
-    """Round-trippable text form: parse_function(canonical_text(f)) has
-    an identical rule.  A signed exponent prints in parentheses (x^-y as
-    x^(-y)), one level more, so the text may nest past the depth bound."""
-    return f.rule.text(f.domain)
+    """Round-trippable text form: parse_function(canonical_text(f)) is
+    a function equal to f, except that poly's text carries no domain and
+    reads back on [0, 1].  A signed exponent prints in parentheses (x^-y
+    as x^(-y)), one level more, so the text may nest past the depth bound."""
+    return f.text()
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +712,7 @@ def parse_function(spec: str) -> RealFunction:
             lo = parser.keyword("lo")
             hi = parser.keyword("hi")
             parser.expect(")")
-            f = RealFunction(Interval(lo, hi), Expression(tree))
+            f = Expression(tree, Interval(lo, hi))
         else:
             raise ParseError(f"unknown function family {family!r}", pos, expected=_FAMILIES)
     except ValueError as exc:

@@ -163,14 +163,59 @@ class TestPiecewiseLinear:
 
 
     def test_breakpoint_arrays_are_built_once_and_kept_out_of_equality(self):
-        a = parse_function("pwl((0,0),(0.3,1),(1,0))").rule
-        b = piecewise_linear_function([(0, 0), (0.3, 1), (1, 0)]).rule
+        a = parse_function("pwl((0,0),(0.3,1),(1,0))")
+        b = piecewise_linear_function([(0, 0), (0.3, 1), (1, 0)])
         assert a == b and hash(a) == hash(b)
-        assert a != parse_function("pwl((0,0),(0.3,2),(1,0))").rule
+        assert a != parse_function("pwl((0,0),(0.3,2),(1,0))")
         assert repr(a) == "PiecewiseLinear(points=((0.0, 0.0), (0.3, 1.0), (1.0, 0.0)))"
         assert a.px.tolist() == [0.0, 0.3, 1.0] and a.py.tolist() == [0.0, 1.0, 0.0]
         with pytest.raises(ValueError):
             a.px[0] = 1.0
+
+
+class TestFamilyDomains:
+    """Each family owns its domain; no domain can sit under another family."""
+
+    def test_derived_domains(self):
+        assert power_function(2, 1.5).domain == Interval(0.0, 1.5)
+        assert Chainsaw().domain == Interval(0.0, 1.0)
+        f = piecewise_linear_function([(-1.0, 0.0), (0.5, 1.0), (2.0, 0.0)])
+        assert f.domain == Interval(-1.0, 2.0)
+
+    def test_given_domains(self):
+        assert polynomial_function([1.0]).domain == Interval(0.0, 1.0)
+        assert polynomial_function([1.0], Interval(-2.0, 3.0)).domain == Interval(-2.0, 3.0)
+        assert expression_function("x", -2.0, 3.0).domain == Interval(-2.0, 3.0)
+
+    def test_a_family_and_a_foreign_domain_make_no_function(self):
+        # x^2 on [0, 2] is not power(alpha=2,b=1), whose closed form holds on [0, 1] only
+        with pytest.raises(TypeError):
+            RealFunction(Interval(0.0, 2.0), PowerFamily(2.0, 1.0))
+        with pytest.raises(TypeError):
+            Chainsaw(Interval(0.0, 2.0))
+        with pytest.raises(TypeError):
+            PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)), Interval(0.0, 2.0))
+
+    def test_families_are_functions(self):
+        for spec in ("power(alpha=2,b=1)", "chainsaw", "poly(1)", "pwl((0,0),(1,1))",
+                     "expr(x,lo=0,hi=1)"):
+            assert isinstance(parse_function(spec), RealFunction)
+
+    def test_equal_exactly_with_family_parameters_and_domain(self):
+        assert polynomial_function([0, 1]) == Polynomial((0.0, 1.0), Interval(0.0, 1.0))
+        assert hash(polynomial_function([0, 1])) == hash(Polynomial((0.0, 1.0)))
+        assert polynomial_function([0, 1]) != polynomial_function([0, 1], Interval(0.0, 2.0))
+        assert expression_function("x", 0, 1) != expression_function("x", 0, 2)
+        assert expression_function("x", 0, 1) != expression_function("x*1", 0, 1)
+        # the same values on the same domain, but another family
+        assert polynomial_function([0, 1]) != piecewise_linear_function([(0, 0), (1, 1)])
+        assert power_function(1, 1) != polynomial_function([0, 1])
+        assert power_function(2, 1) != power_function(2, 1.5)
+
+    def test_poly_text_carries_no_domain(self):
+        f = polynomial_function([0, 1], Interval(0.0, 2.0))
+        again = parse_function(canonical_text(f))
+        assert again == polynomial_function([0, 1]) and again != f
 
 
 class TestExpression:
@@ -228,15 +273,15 @@ class TestParseFunction:
     def test_round_trip(self, spec):
         f = parse_function(spec)
         again = parse_function(canonical_text(f))
-        assert again.rule == f.rule
+        assert again == f
 
     def test_whitespace_tolerated(self):
         f = parse_function("  power( alpha = 2 , b = 1 ) ")
-        assert f.rule == PowerFamily(2.0, 1.0)
+        assert f == PowerFamily(2.0, 1.0)
 
     def test_negative_numbers(self):
         f = parse_function("pwl((-1,-2),(1,2))")
-        assert f.rule == PiecewiseLinear(((-1.0, -2.0), (1.0, 2.0)))
+        assert f == PiecewiseLinear(((-1.0, -2.0), (1.0, 2.0)))
 
     @pytest.mark.parametrize(
         "bad",
@@ -294,7 +339,7 @@ class TestParseFunction:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_canonical_text_round_trips_generated_trees(self, data):
         tree = data.draw(expression_trees())
-        f = RealFunction(Interval(-1.5, 2.0), Expression(tree))
+        f = Expression(tree, Interval(-1.5, 2.0))
         assert repr(parse_function(canonical_text(f))) == repr(f)
 
     @pytest.mark.parametrize(
@@ -580,7 +625,7 @@ class TestEvaluationBits:
 
     @staticmethod
     def check_tree(tree):
-        f = RealFunction(_BIT_DOMAIN, Expression(tree))
+        f = Expression(tree, _BIT_DOMAIN)
         for xs in _BIT_XS:
             with np.errstate(all="ignore"):
                 want = np.asarray(_oracle_eval_node(tree, xs), dtype=np.float64)
@@ -598,7 +643,7 @@ class TestEvaluationBits:
          "sin(1/x)^0", "1^cos(1/x)", "cos(1/x)*0", "0^(1/x)", "0.5^(-1/x)", "(1/x)^-1", "1e300*x*1e300-1/x"],
     )
     def test_matches_full_array_evaluation(self, text):
-        self.check_tree(expression_function(text, -2.0, 3.0).rule.tree)
+        self.check_tree(expression_function(text, -2.0, 3.0).tree)
 
     @given(_bit_trees)
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -690,6 +735,15 @@ class TestAnchorPoints:
     def test_pwl_anchors_are_breakpoints(self):
         f = piecewise_linear_function([(0.0, 0.0), (0.375, 1.0), (1.0, 0.0)])
         assert anchor_points(f).tolist() == [0.0, 0.375, 1.0]
+
+    @pytest.mark.parametrize(
+        "f",
+        [chainsaw_function(), piecewise_linear_function([(-2.5, 1.0), (0.125, -1.0), (3.0, 2.0)])],
+    )
+    def test_anchors_lie_in_their_own_domain(self, f):
+        pts = anchor_points(f)
+        assert pts.size and pts.min() >= f.domain.lo and pts.max() <= f.domain.hi
+        assert pts[0] == f.domain.lo and pts[-1] == f.domain.hi
 
     def test_smooth_families_have_none(self):
         assert anchor_points(power_function(2, 1)).size == 0
