@@ -25,13 +25,12 @@ _HOMES = {
         "OutOfRange", "ParseError", "PreconditionViolated", "UnsupportedFamily",
     ), "errors"),
     **dict.fromkeys((
-        "RefinementTrace", "certified_max_bound", "dyadic_net", "envelope", "first_maximizer",
-        "refine_extrema",
+        "RefinementTrace", "certified_max_bound", "envelope", "first_maximizer", "refine_extrema",
     ), "extremum"),
     **dict.fromkeys((
         "MAX_NET_LEVEL", "Chainsaw", "Expression", "FiniteMetricSpace", "Interval",
         "PiecewiseLinear", "Polynomial", "PowerFamily", "RealFunction", "anchor_points",
-        "canonical_text", "chainsaw_function", "evaluate", "evaluate_many",
+        "canonical_text", "chainsaw_function", "dyadic_net", "evaluate", "evaluate_many",
         "expression_function", "parse_function", "piecewise_linear_function",
         "polynomial_function", "power_function", "sample_grid",
     ), "functions"),

@@ -43,8 +43,8 @@ from .functions import (
 # Pairs count toward the level set when their gap reaches
 # eps * (1 - GAP_SLACK_REL): the float image of an exact boundary pair
 # (gap == eps in exact arithmetic) can land a few ulp short, and a
-# strict comparison would drop it.  The induced understatement of delta
-# stays below the 1e-12 closed-form agreement budget.
+# strict comparison would drop it.  That costs delta a few ulp, but for
+# eps just above a jump of delta(eps) it gives the branch below the jump.
 GAP_SLACK_REL: float = 1e-12
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -63,8 +63,9 @@ class DeltaSample:
     """One (epsilon, delta) point of a tolerance profile.
 
     ``method`` records how delta was computed and ``bias`` which side of
-    the true value it sits on: grid searches only ever land on or above
-    the infimum, closed forms and exhaustive scans hit it exactly.
+    the true value it sits on: grid searches land on or above the
+    infimum, except for eps just above a jump of delta(eps) (see
+    GAP_SLACK_REL); closed forms and exhaustive scans hit it exactly.
     """
 
     epsilon: float
@@ -146,10 +147,11 @@ class VerificationReport:
     ``valid`` means no grid pair closer than the claim reaches the gap;
     ``maximal`` means some pair within 0.1% above the claim does, so the
     claim cannot be meaningfully enlarged.  Both are read off the closest
-    grid pair that reaches the gap (ties to the smallest index pair),
-    which is the witness (x, y, fx, fy): ``violation`` when the claim is
-    not valid, ``threshold_witness`` when it is maximal, the same pair
-    when both are set.
+    grid pair that reaches the gap up to GAP_SLACK_REL (ties to the
+    smallest index pair), which is the witness (x, y, fx, fy):
+    ``violation`` when the claim is not valid, ``threshold_witness`` when
+    it is maximal, the same pair when both are set.  Just above a jump of
+    delta(epsilon), a pair short of the gap can refute a valid claim.
     """
 
     epsilon: float
@@ -185,8 +187,9 @@ def optimal_delta_grid(
     """Grid estimate of the optimal tolerance, exact on the sample set.
 
     Scans all pairs of the base grid for the closest one with value gap
-    at least epsilon, then re-scans zoomed windows around it.  The
-    result can only overestimate the true infimum (bias upper_bound).
+    at least epsilon, then re-scans zoomed windows around it.  The result
+    overestimates the true infimum (bias upper_bound), except for epsilon
+    just above a jump of delta(epsilon): see GAP_SLACK_REL.
 
     Raises EmptyLevelSet when epsilon exceeds the grid range spread, in
     which case no pair qualifies anywhere.

@@ -29,6 +29,7 @@ from .functions import (
     Interval,
     RealFunction,
     canonical_text,
+    dyadic_net,
     evaluate_many,
     sample_grid,
 )
@@ -40,24 +41,6 @@ _CHUNK = 2 ** 15
 # refine_extrema evaluates the nets up to this level in one call: up to
 # a few thousand points, a call per level costs more than its points do
 _COARSE = 12
-
-
-def dyadic_net(domain: Interval, level: int) -> np.ndarray:
-    """The 2^level + 1 dyadic split points a + (b-a) * k / 2^level of the domain.
-
-    Fractions k / 2^level are exact in binary floating point, so nets at
-    successive levels are exactly nested; the endpoints are the domain
-    endpoints themselves (a -0.0 end included).
-    """
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    if level > MAX_NET_LEVEL:
-        raise LevelTooLarge(f"level {level} exceeds the maximum {MAX_NET_LEVEL}")
-    t = np.arange(2 ** level + 1, dtype=np.float64) / 2.0 ** level
-    pts = domain.lo + domain.span * t
-    pts[0] = domain.lo
-    pts[-1] = domain.hi
-    return pts
 
 
 @dataclass

@@ -1,10 +1,11 @@
-"""Function model: intervals, function families, parsing, and evaluation.
+"""Function model: intervals, function families, parsing, evaluation, and point sets.
 
 A :class:`RealFunction` is one of five families, each owning its closed
 interval domain: power, the sawtooth and pwl derive theirs, poly and
 expr take one.  Everything downstream (tolerance search, extremum
 refinement, bisection) consumes functions only through :func:`evaluate`
-/ :func:`evaluate_many`, so each family picks its own evaluation path.
+/ :func:`evaluate_many`, so each family picks its own evaluation path,
+and takes its points from :func:`sample_grid` or :func:`dyadic_net`.
 
 The text grammar accepted by :func:`parse_function`::
 
@@ -464,6 +465,24 @@ def sample_grid(
         if extra.size:
             xs = _sorted_distinct(np.concatenate((xs, extra)))
     return xs, evaluate_many(f, xs)
+
+
+def dyadic_net(domain: Interval, level: int) -> np.ndarray:
+    """The 2^level + 1 dyadic split points a + (b-a) * k / 2^level of the domain.
+
+    Fractions k / 2^level are exact in binary floating point, so nets at
+    successive levels are exactly nested; the endpoints are the domain
+    endpoints themselves (a -0.0 end included).
+    """
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
+    if level > MAX_NET_LEVEL:
+        raise LevelTooLarge(f"level {level} exceeds the maximum {MAX_NET_LEVEL}")
+    t = np.arange(2 ** level + 1, dtype=np.float64) / 2.0 ** level
+    pts = domain.lo + domain.span * t
+    pts[0] = domain.lo
+    pts[-1] = domain.hi
+    return pts
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:

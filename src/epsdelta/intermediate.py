@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotSelfMap, ParseError, PreconditionViolated
-from .functions import RealFunction, _Parser, evaluate, evaluate_many
-from .serialize import format_float
+from .functions import RealFunction, _Parser, _fmt, dyadic_net, evaluate, evaluate_many
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -84,8 +83,8 @@ class TargetSet:
         for lo, hi, lo_open, hi_open in self.pieces:
             left = "(" if lo_open else "["
             right = ")" if hi_open else "]"
-            lo_s = "-inf" if lo == -math.inf else format_float(lo)
-            hi_s = "inf" if hi == math.inf else format_float(hi)
+            lo_s = "-inf" if lo == -math.inf else _fmt(lo)
+            hi_s = "inf" if hi == math.inf else _fmt(hi)
             parts.append(f"{left}{lo_s},{hi_s}{right}")
         return "u".join(parts)
 
@@ -293,10 +292,6 @@ def fixed_point(f: RealFunction, steps: int) -> FixedPointResult:
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-
-    # here, not at the top: bisect and ivt processes then never load extremum
-    from .extremum import dyadic_net
-
     lo, hi = f.domain.lo, f.domain.hi
     net = dyadic_net(f.domain, SELF_MAP_NET_LEVEL)
     vals = evaluate_many(f, net)

@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, output formats, exit codes."""
 
+import ast
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import epsdelta
 from epsdelta import MAX_NET_LEVEL, EpsDeltaError, extremum, functions
 from epsdelta.cli import MAX_ENVELOPE_ROWS, run
 from epsdelta.serialize import json_text
@@ -678,7 +680,7 @@ class TestStartupImports:
         "ivt": (["ivt", "--fn", "poly(0,0,0,1)", "--lo", "0", "--hi", "2", "--c", "2",
                  "--steps", "10"], {"intermediate"}),
         "fixpoint": (["fixpoint", "--fn", "expr(cos(x),lo=0,hi=1)", "--steps", "10"],
-                     {"intermediate", "extremum"}),
+                     {"intermediate"}),
     }
 
     @pytest.mark.parametrize("argv, modules", ROUTES.values(), ids=ROUTES)
@@ -689,6 +691,56 @@ class TestStartupImports:
         assert {m for m in loaded if m.startswith("epsdelta")} == STARTUP_MODULES | {
             f"epsdelta.{m}" for m in modules}
         assert {m for m in loaded if not m.startswith("epsdelta")} <= numpy_alone
+
+
+class TestLayering:
+    """Each module imports only the layers under it.  The three analysis
+    modules stand on the function layer alone, never on each other or on
+    the serializer; the CLI, which joins them, is exempt."""
+
+    PACKAGE = Path(epsdelta.__file__).parent
+
+    # every module but the CLI and the lazy namespace, and the package modules it may import
+    ALLOWED = {
+        "errors": set(),
+        "_kernels": set(),
+        "serialize": {"errors"},
+        "functions": {"errors", "_kernels"},
+        **dict.fromkeys(("delta", "extremum", "intermediate"), {"errors", "functions", "_kernels"}),
+    }
+
+    # the imports made inside a function, so that a process loads them only on use
+    DEFERRED = {"functions": {"_kernels"}, "extremum": {"_kernels"}}
+
+    def package_imports(self, name: str) -> tuple[set[str], set[str]]:
+        """The package modules ``name`` imports: all of them, and those inside a function."""
+        tree = ast.parse((self.PACKAGE / f"{name}.py").read_text())
+        top = {id(node) for node in tree.body}
+        found, deferred = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [a.name for a in node.names]
+                if node.level:
+                    names = [f"epsdelta.{n}" for n in names]
+            else:
+                continue
+            mods = {n.removeprefix("epsdelta.") for n in names if n.split(".")[0] == "epsdelta"}
+            found |= mods
+            if id(node) not in top:
+                deferred |= mods
+        return found, deferred
+
+    def test_every_module_is_placed(self):
+        modules = {p.stem for p in self.PACKAGE.glob("*.py")} - {"__init__", "cli"}
+        assert modules == set(self.ALLOWED)
+
+    @pytest.mark.parametrize("name", ALLOWED)
+    def test_module_imports_only_lower_layers(self, name):
+        found, deferred = self.package_imports(name)
+        assert found <= self.ALLOWED[name]
+        assert deferred == self.DEFERRED.get(name, set())
 
 
 class TestDomainFlags:
