@@ -144,17 +144,14 @@ def _dispatch(args: argparse.Namespace) -> str:
         columns, rows = ("x", "g"), ed.envelope(f, args.resolution)
         doc = {"points": rows}
     elif args.command == "maximize":
-        from .extremum import _certified_bound
-
         trace = ed.refine_extrema(f, args.level)
-        # one grid of --resolution points gives the modulus and the maximizer
-        bound, first = _certified_bound(f, trace, trace.levels[-1], args.resolution)
+        bound = ed.certified_max_bound(f, trace, args.level, args.resolution)
         # both read the trace after the bound fills its last certified_gap
         columns, rows = trace.table()
         doc = trace.to_json_dict()
         doc["certified_bound"] = bound
         if args.output == "json":
-            doc["first_maximizer"] = first
+            doc["first_maximizer"] = ed.first_maximizer(f, args.resolution)
     elif args.command == "bisect":
         result = ed.bisect_boundary(f, ed.parse_target_set(args.target), args.steps)
     elif args.command == "ivt":

@@ -203,8 +203,9 @@ class TestOutputFormats:
         assert len(doc["levels"]) == 4
 
     @pytest.mark.parametrize("output", ["json", "csv"])
-    def test_maximize_evaluates_its_grid_once(self, capsys, monkeypatch, output):
-        # the certified bound's modulus and the first maximizer share one grid
+    def test_maximize_evaluates_a_grid_per_printed_figure(self, capsys, monkeypatch, output):
+        # the certified bound samples its modulus grid; only JSON prints the
+        # first maximizer, which samples its own
         sizes = []
 
         def counted(f, xs):
@@ -219,8 +220,22 @@ class TestOutputFormats:
             "--resolution", "4096", "--output", output,
         )
         assert code == 0, err
-        # the refinement's level-6 net, read level by level, then the grid
-        assert sizes == [65, 4096]
+        # the refinement's level-6 net, read level by level, then the grids
+        assert sizes == {"json": [65, 4096, 4096], "csv": [65, 4096]}[output]
+
+    @pytest.mark.parametrize("resolution", [4096, 4097])
+    @pytest.mark.parametrize("fn", [
+        "pwl((0,0),(0.3001,0),(0.30015,1),(0.3002,0),(1,0))", "expr(sin(40*x),lo=0,hi=1)",
+    ], ids=["spike", "sin40"])
+    def test_maximize_prints_the_library_figures(self, capsys, fn, resolution):
+        code, out, err = invoke(capsys, "maximize", "--fn", fn, "--level", "12",
+                                "--resolution", str(resolution))
+        assert code == 0, err
+        doc = json.loads(out)
+        f = epsdelta.parse_function(fn)
+        bound = epsdelta.certified_max_bound(f, epsdelta.refine_extrema(f, 12), 12, resolution)
+        assert doc["certified_bound"] == bound
+        assert doc["first_maximizer"] == epsdelta.first_maximizer(f, resolution)
 
     def test_envelope_csv(self, capsys):
         code, out, _ = invoke(
@@ -741,6 +756,10 @@ class TestLayering:
         found, deferred = self.package_imports(name)
         assert found <= self.ALLOWED[name]
         assert deferred == self.DEFERRED.get(name, set())
+
+    def test_cli_reaches_the_analysis_modules_through_the_package(self):
+        # its own grammar and the serializer, and every library name as ``ed.<name>``
+        assert self.package_imports("cli") == ({"epsdelta", "functions", "serialize"}, set())
 
 
 class TestDomainFlags:

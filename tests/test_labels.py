@@ -3,10 +3,11 @@
 A grid ``upper_bound`` must sit on or above the true optimal delta of
 the float epsilon, admitting the one ulp that rounding its distance may
 cost; an ``exact`` delta must be the true delta rounded upward; a
-``certified`` bound must reach sup f; and ``"valid": true`` must mean
-that no pair closer than the claim reaches epsilon.  The oracles use
-the standard library alone: ``fractions`` for pwl and the sawtooth,
-``decimal`` at 60 digits for x^2.
+``certified`` bound must reach sup f; ``"valid": true`` must mean
+that no pair closer than the claim reaches epsilon; and "no pair can
+reach gap epsilon" must mean that no pair of the domain does.  The
+oracles use the standard library alone: ``fractions`` for pwl, the
+sawtooth, the quadratic and the bump, ``decimal`` at 60 digits for x^2.
 
 Each label known to be false is a strict xfail that names the ROADMAP
 item which mends it; the fix turns it into a pass, and its marker goes.
@@ -20,6 +21,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from epsdelta import (
+    EmptyLevelSet,
+    EpsDeltaError,
     certified_max_bound,
     chainsaw_function,
     optimal_delta_closed_form,
@@ -36,6 +39,25 @@ SAWTOOTH = chainsaw_function()
 
 # a tall tooth far narrower than the 4097-point modulus grid's step; sup f = 1
 SPIKE = "pwl((0,0),(0.3001,0),(0.30015,1),(0.3002,0),(1,0))"
+
+# 40 > pi/2, so sin(40x) reaches sup f = 1 on [0, 1]
+SIN40 = "expr(sin(40*x),lo=0,hi=1)"
+
+# c1 x - x^2 on [0, 1]: sup f = c1^2 / 4 at the vertex c1 / 2
+QUADRATIC_C1 = 0.6666666666666666
+QUADRATIC = f"poly(0,{QUADRATIC_C1!r},-1)"
+
+# a pole inside the domain: sup f = +inf
+POLE = "expr(1/(x-0.3),lo=0,hi=1)"
+
+# a bump of height 1 at the float 0.3 and half-width 1e-5, far narrower than
+# a 4096-point grid's step; BUMP_PAIR reaches a gap above 0.5 at 2e-5
+BUMP = "expr(1/(1+10000000000*(x-0.3)^2),lo=0,hi=1)"
+BUMP_PAIR = (0.3, 0.3 + 2e-5)
+
+# the modulus grid of `epsdelta maximize` at its default --resolution;
+# certified_max_bound's own default is 2^12 + 1
+CLI_GRID = 4096
 
 # delta(eps) jumps at eps = 0.5: at and below it the pair (0, 0.1) reaches the
 # gap, above it the nearest pair is 0.2 * eps / 0.5 apart on the rising or
@@ -101,6 +123,18 @@ def square_delta(eps: float) -> Decimal:
         return 1 - (1 - Decimal(eps)).sqrt()
 
 
+def bump_value(x: float) -> Fraction:
+    """BUMP at the float ``x``, exactly."""
+    t = Fraction(x) - Fraction(0.3)
+    return 1 / (1 + 10 ** 10 * t * t)
+
+
+def certified(spec: str, level: int, resolution: int = 2 ** 12 + 1) -> float:
+    """The certified bound of ``spec`` at ``level`` on a ``resolution``-point modulus grid."""
+    f = parse_function(spec)
+    return certified_max_bound(f, refine_extrema(f, level), level, resolution)
+
+
 def round_up(q) -> float:
     """The smallest float at or above the exact value ``q``."""
     d = float(q)
@@ -157,6 +191,13 @@ class TestOracles:
     @pytest.mark.parametrize("eps, rounded_up", POWER_CASES)
     def test_power(self, eps, rounded_up):
         assert round_up(square_delta(eps)) == rounded_up
+
+    def test_bump(self):
+        assert bump_value(0.3) == 1
+        x, y = BUMP_PAIR
+        assert y - x == 2.0000000000020002e-05 and Fraction(y) - Fraction(x) < Fraction(0.1)
+        assert 1 - bump_value(y) >= Fraction(1, 2)
+        assert float(1 - bump_value(y)) == 0.80000000000032
 
 
 class TestUpperBound:
@@ -253,8 +294,56 @@ class TestCertified:
                  "the mesh is finer than its grid")
     @pytest.mark.parametrize("level", [5, 12, 14, 16])
     def test_spike(self, level):
-        f = parse_function(SPIKE)
-        assert certified_max_bound(f, refine_extrema(f, level), level) >= 1.0
+        assert certified(SPIKE, level) >= 1.0
+
+    # the CLI's figure: it reads 0.4420024420027022
+    @false_label("ROADMAP item 19: the bound adds a grid lower bound of the modulus, and the "
+                 "4096-point grid misses the spike's tooth")
+    def test_spike_on_the_cli_grid(self):
+        assert certified(SPIKE, 5, CLI_GRID) >= 1.0
+
+    # it reads 0.9999999997519728 at both levels
+    @false_label("ROADMAP items 15 and 1: the grid modulus is 0 once the mesh is finer than its "
+                 "grid, and expr has no enclosure to replace it")
+    @pytest.mark.parametrize("level", [14, 16])
+    def test_sin40(self, level):
+        assert certified(SIN40, level) >= 1.0
+
+    # the two grids disagree: 1.0097654935746487 on 4097 points, 0.9999999073893983
+    # on the CLI's 4096
+    @pytest.mark.parametrize("resolution", [
+        2 ** 12 + 1,
+        pytest.param(CLI_GRID, marks=false_label(
+            "ROADMAP items 15 and 1: the 4096-point grid's step 1/4095 exceeds the level-12 "
+            "mesh, so the grid modulus is 0")),
+    ])
+    def test_sin40_at_level_12(self, resolution):
+        assert certified(SIN40, 12, resolution) >= 1.0
+
+    # it reads 0.11111111069718996
+    @false_label("ROADMAP item 19: the grid modulus is 0 once the mesh is finer than the grid "
+                 "step, so the bound is the net maximum")
+    def test_quadratic(self):
+        c1 = Fraction(QUADRATIC_C1)
+        assert Fraction(certified(QUADRATIC, 14)) >= c1 * c1 / 4
+
+    # it reads 26879.999999995616 (17660.00000000004 on 4096 points)
+    @false_label("ROADMAP items 15 and 1: a grid modulus is finite, so the bound is, even "
+                 "across a pole")
+    @pytest.mark.parametrize("resolution", [2 ** 12 + 1, CLI_GRID])
+    def test_pole(self, resolution):
+        try:
+            bound = certified(POLE, 8, resolution)
+        except EpsDeltaError:
+            return  # a typed refusal is a true answer
+        assert bound == math.inf
+
+    # it reads 0.04277412423404193 (0.009140632502228112 on 4096 points)
+    @false_label("ROADMAP item 15: the bump is far narrower than the grid's step, so the "
+                 "grid modulus misses it")
+    @pytest.mark.parametrize("resolution", [2 ** 12 + 1, CLI_GRID])
+    def test_bump(self, resolution):
+        assert certified(BUMP, 10, resolution) >= bump_value(0.3)
 
 
 class TestValid:
@@ -266,3 +355,23 @@ class TestValid:
     def test_pwl_just_above_a_jump(self):
         report = verify_largest_delta(piecewise_linear_function(JUMP), JUMP_EPS, 0.2, 4096)
         assert report.valid
+
+    # it prints "valid": true, though BUMP_PAIR, 2.0000000000020002e-05 apart,
+    # reaches a gap of 0.8000000000003
+    @false_label("ROADMAP item 12: no 4096-point grid pair comes near the bump's crest, and "
+                 "the verdict reads the grid as the function")
+    def test_bump(self):
+        assert not verify_largest_delta(parse_function(BUMP), 0.5, 0.1, CLI_GRID).valid
+
+
+class TestNoPairCan:
+    """An ``EmptyLevelSet`` that says "no pair can reach gap eps" means it."""
+
+    # it raises "no pair can reach gap 0.5: grid range spread is only
+    # 0.006662917542214183", and BUMP_PAIR reaches that gap
+    @false_label("ROADMAP item 12: the message reads the grid's range spread as the function's")
+    def test_bump(self):
+        try:
+            optimal_delta_grid(parse_function(BUMP), 0.5)
+        except EmptyLevelSet as exc:
+            assert "no pair can" not in str(exc)
